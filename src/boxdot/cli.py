@@ -2,9 +2,9 @@
 
 Exit status: 0 on success, 1 where a subcommand defines failure (rejected
 proof, false verdict, violations, failed properties), 2 on usage errors
-(bad flags, malformed formulas/worlds/files).  Every subcommand takes
-``--json`` for structured output; with a fixed seed that output is
-byte-identical across runs.
+(bad flags, malformed formulas/worlds/files, inputs past a capacity bound).
+Every subcommand takes ``--json`` for structured output; with a fixed seed
+that output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import sys
 
 from .corpus import corpus
-from .formulas import ParseError, parse
+from .formulas import CapacityError, ParseError, parse
 from .fuzz import FuzzConfig, derive_seed, run_soundness_fuzz
 from .hotel import (
     VARIANTS,
@@ -252,7 +252,8 @@ def cli(argv):
         return 0 if exc.code in (0, None) else 2
     try:
         return args.fn(args)
-    except (ParseError, ProofScriptError, ValueError, KeyError, OSError) as exc:
+    except (ParseError, ProofScriptError, CapacityError, ValueError, KeyError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .formulas import Atom, AttainKnow, Implies, Know, Not, modal_depth, parse, substitute
 from .hotel import (
+    MODAL_DEPTH_CAP,
     VARIANT_I,
     VARIANT_II,
     EvalSession,
@@ -239,7 +240,7 @@ def run_soundness_fuzz(cfg):
         mapping = HOTEL_ATOMS[variant.name]
         for t, mult in groups.items():
             ht = substitute(t, mapping)
-            if modal_depth(ht) > 4:
+            if modal_depth(ht) > MODAL_DEPTH_CAP:
                 skipped += mult * len(panel)
                 continue
             for w in panel:

@@ -12,16 +12,25 @@ agreement on *all* rooms pins the world completely, ``[]f`` holds exactly
 where f does; ``[.]f`` asks for a finite set F of rooms whose examination
 guarantees f across every valid world agreeing on F.
 
-Evaluation strategy.  Untracked rooms are interchangeable, so a world is
-abstracted relative to a tracked room set as (exact states of named tracked
-rooms, a multiset of states of anonymous pinned rooms, per-state counts of
-untracked rooms saturated at a cap, with exactly one state cofinite).  For
-``[.]`` it is enough to search F = all tracked rooms plus j fresh untracked
-rooms, j = 0..cap: enlarging F only shrinks the agreement class, and fresh
-rooms matter only through their states.  Successor worlds under agreement on
-F keep the tracked part and take arbitrary valid saturated count vectors.
-The cap defaults to modal_depth(f) + number of exists_* atoms + 2; verdicts
-must not change when it grows (see the cap-stability tests).
+Evaluation strategy: an exact finite quotient.  Untracked rooms are
+interchangeable, so relative to a set of tracked rooms a world is
+abstracted as (the states of the named tracked rooms, the set of states
+present among all tracked rooms, the set of states present among the
+untracked rooms).  No formula tells apart two worlds with the same
+abstraction: atoms read the named states and whether a state occurs at
+all; validity reads only which states occur; and for ``[.]`` it is enough
+to search F = all tracked rooms plus j fresh untracked rooms, since
+enlarging F only shrinks the agreement class and a fresh room matters only
+through its state, so one whose state is already tracked changes nothing.
+``[.]f`` thus tries sets S of untracked, not yet tracked states, fewest
+first, and holds when f holds at every valid successor of tracked + S;
+successors keep the tracked part and may have any nonempty set of
+untracked states.  The minimal fresh_count is the size of the smallest S
+that works.  The cap bounds |S| (cap 0 also makes all untracked rooms share
+one state); it defaults to modal_depth(f) + number of exists_* atoms + 2.
+Since |S| never exceeds the number of states, every cap at least that large
+gives the same answers.  ``tests/hotel_oracle.py`` keeps the former search
+over capped room counts and pin multisets as the reference.
 
 Atom spelling: ``exists_<state>`` and ``room_<index>_<state>``.
 World literals: ``default=<state>; <room>=<state>; ...``.
@@ -68,9 +77,6 @@ __all__ = [
 
 MODAL_DEPTH_CAP = 4
 ATOM_COUNT_CAP = 6
-
-OMEGA = -1  # cofinite count marker
-
 
 @dataclass(frozen=True)
 class HotelVariant:
@@ -177,32 +183,33 @@ def _classify_atoms(f, v):
     return atoms
 
 
-# ---------- the abstraction ----------
+# ---------- the quotient ----------
 
 class _HotelEval:
     """Evaluator for a fixed (variant, cap, named tracked room set).
 
-    Abstract worlds are (named state tuple, anonymous pin counts per state,
-    untracked counts per state).  Counts live in 0..cap with OMEGA marking
-    the one cofinite state.  The memo table is a cache of pure results, so
-    one evaluator may serve many formulas and worlds that share the cap and
-    the named room set.
+    Abstract worlds are (named state tuple, set of states present among the
+    tracked rooms, set of states present among the untracked rooms), the two
+    sets as bitmasks over ``v.states``.  The memo table is a cache of pure
+    results, so one evaluator may serve many formulas and worlds that share
+    the cap and the named room set.
     """
 
     def __init__(self, v, cap, named_rooms):
         self.v = v
         self.cap = cap
         self.named_rooms = named_rooms  # sorted tuple of room indices
-        self.nstates = len(v.states)
-        self.state_index = {s: i for i, s in enumerate(v.states)}
+        self.state_bit = {s: 1 << i for i, s in enumerate(v.states)}
+        # guests and bedbugs never share a hotel
+        self.clash = (self.state_bit["occupied"] | self.state_bit["infested"]
+                      if "infested" in v.states else 0)
         self.memo = {}
         self._succ_cache = {}
         self._atom_cache = {}
-        self._pins_cache = {}
 
     # -- atoms --
 
-    def atom_true(self, name, named, anon, counts):
+    def atom_true(self, name, named, tracked, untracked):
         kind = self._atom_cache.get(name)
         if kind is None:
             kind = _parse_atom(name, self.v)
@@ -212,106 +219,67 @@ class _HotelEval:
         if kind[0] == "room":
             _, room, state = kind
             return named[self.named_rooms.index(room)] == state
-        _, state = kind
-        si = self.state_index[state]
-        if state in named or anon[si] > 0:
-            return True
-        return counts[si] != 0  # positive or OMEGA
+        return (tracked | untracked) & self.state_bit[kind[1]] != 0
 
-    # -- successor vectors --
+    # -- successor worlds --
 
-    def successors(self, named, anon):
-        """All valid saturated count vectors a world agreeing on the tracked
-        rooms may have.  Validity only depends on which states the tracked
-        part makes present, so the enumeration is cached on that."""
-        if "infested" not in self.v.states:
-            key = ()
-        else:
-            occ = "occupied" in named or anon[self.state_index["occupied"]] > 0
-            inf = "infested" in named or anon[self.state_index["infested"]] > 0
-            key = (occ, inf)
-        cached = self._succ_cache.get(key)
-        if cached is not None:
-            return cached
-        vectors = []
-        rng = range(self.cap + 1)
-        for d in range(self.nstates):
-            for finite in itertools.product(rng, repeat=self.nstates - 1):
-                counts = list(finite[:d]) + [OMEGA] + list(finite[d:])
-                counts = tuple(counts)
-                if key != () and not self._tracked_plus_counts_valid(key, counts):
-                    continue
-                vectors.append(counts)
-        self._succ_cache[key] = vectors
-        return vectors
-
-    def _tracked_plus_counts_valid(self, tracked_presence, counts):
-        occ_tracked, inf_tracked = tracked_presence
-        occ = occ_tracked or counts[self.state_index["occupied"]] != 0
-        inf = inf_tracked or counts[self.state_index["infested"]] != 0
-        return not (occ and inf)
-
-    # -- pin multisets --
-
-    def pin_multisets(self, counts, size):
-        """Multisets of `size` fresh untracked rooms drawable from `counts`,
-        as per-state count tuples."""
-        key = (counts, size)
-        cached = self._pins_cache.get(key)
-        if cached is not None:
-            return cached
-        avail = [self.cap if c == OMEGA else c for c in counts]
-        out = []
-
-        def rec(i, left, acc):
-            if i == self.nstates - 1:
-                if left <= avail[i]:
-                    out.append(tuple(acc + [left]))
-                return
-            for take in range(min(left, avail[i]) + 1):
-                rec(i + 1, left - take, acc + [take])
-
-        rec(0, size, [])
-        self._pins_cache[key] = out
-        return out
+    def successors(self, tracked):
+        """Untracked-state sets of the valid worlds agreeing on the tracked
+        rooms: any nonempty set of states, or with cap 0 (no finite counts)
+        the one cofinite state alone.  Validity depends on the tracked part
+        only through its occupied/infested states, so the list is cached on
+        those."""
+        key = tracked & self.clash
+        masks = self._succ_cache.get(key)
+        if masks is None:
+            if self.cap:
+                masks = range(1, 1 << len(self.v.states))
+            else:
+                masks = self.state_bit.values()
+            masks = [m for m in masks
+                     if not self.clash or (key | m) & self.clash != self.clash]
+            self._succ_cache[key] = masks
+        return masks
 
     # -- evaluation --
 
-    def eval(self, f, named, anon, counts):
-        key = (f, named, anon, counts)
+    def eval(self, f, named, tracked, untracked):
+        key = (f, named, tracked, untracked)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
         if isinstance(f, Atom):
-            value = self.atom_true(f.name, named, anon, counts)
+            value = self.atom_true(f.name, named, tracked, untracked)
         elif isinstance(f, Not):
-            value = not self.eval(f.child, named, anon, counts)
+            value = not self.eval(f.child, named, tracked, untracked)
         elif isinstance(f, Implies):
-            value = ((not self.eval(f.left, named, anon, counts))
-                     or self.eval(f.right, named, anon, counts))
+            value = ((not self.eval(f.left, named, tracked, untracked))
+                     or self.eval(f.right, named, tracked, untracked))
         elif isinstance(f, Know):
             # agreement on every room pins the world exactly
-            value = self.eval(f.child, named, anon, counts)
+            value = self.eval(f.child, named, tracked, untracked)
         elif isinstance(f, AttainKnow):
-            value = self.attain(f.child, named, anon, counts) is not None
+            value = self.attain(f.child, named, tracked, untracked) is not None
         else:
             raise TypeError(f"not a formula: {f!r}")
         self.memo[key] = value
         return value
 
-    def attain(self, child, named, anon, counts):
-        """Smallest number j of fresh pinned rooms (with some pinnable state
-        multiset) making the universal check succeed, or None."""
-        for j in range(self.cap + 1):
-            for pins in self.pin_multisets(counts, j):
-                anon2 = tuple(a + p for a, p in zip(anon, pins))
-                if self.universal(child, named, anon2):
+    def attain(self, child, named, tracked, untracked):
+        """Smallest number of fresh rooms whose states, added to the tracked
+        ones, make the universal check succeed, or None.  A fresh room of a
+        state already tracked changes nothing, so only new states are tried,
+        fewest first."""
+        new = [b for b in self.state_bit.values() if untracked & b and not tracked & b]
+        for j in range(min(self.cap, len(new)) + 1):
+            for pins in itertools.combinations(new, j):
+                if self.universal(child, named, tracked | sum(pins)):
                     return j
         return None
 
-    def universal(self, child, named, anon):
-        return all(self.eval(child, named, anon, succ)
-                   for succ in self.successors(named, anon))
+    def universal(self, child, named, tracked):
+        return all(self.eval(child, named, tracked, succ)
+                   for succ in self.successors(tracked))
 
 
 class EvalSession:
@@ -324,10 +292,11 @@ class EvalSession:
         self._pool = {}
 
     def evaluator(self, v, cap, named_rooms):
-        key = (v.name, cap, named_rooms)
+        # caps beyond the number of states give identical answers
+        key = (v.name, min(cap, len(v.states)), named_rooms)
         ev = self._pool.get(key)
         if ev is None:
-            ev = _HotelEval(v, cap, named_rooms)
+            ev = _HotelEval(v, key[1], named_rooms)
             self._pool[key] = ev
         return ev
 
@@ -351,14 +320,12 @@ def _context(v, w, f, cap, session=None):
         if kind[0] == "room":
             named_rooms.add(kind[1])
     named_rooms = tuple(sorted(named_rooms))
-    if session is None:
-        ev = _HotelEval(v, cap, named_rooms)
-    else:
-        ev = session.evaluator(v, cap, named_rooms)
+    ev = (session or EvalSession()).evaluator(v, cap, named_rooms)
     named = tuple(w.exceptions.get(r, w.default) for r in named_rooms)
-    anon = (0,) * ev.nstates
-    counts = tuple(OMEGA if s == w.default else 0 for s in v.states)
-    return ev, named, anon, counts
+    tracked = 0
+    for s in named:
+        tracked |= ev.state_bit[s]
+    return ev, cap, named, tracked, ev.state_bit[w.default]
 
 
 def hotel_eval(v, w, f, cap=None, session=None):
@@ -368,28 +335,29 @@ def hotel_eval(v, w, f, cap=None, session=None):
     a ``[.]`` formula that holds, and then records the normalized evidence
     set: all named tracked rooms plus a minimal count of fresh rooms.
     """
-    ev, named, anon, counts = _context(v, w, f, cap, session)
+    ev, _, named, tracked, untracked = _context(v, w, f, cap, session)
     if isinstance(f, AttainKnow):
-        j = ev.attain(f.child, named, anon, counts)
+        j = ev.attain(f.child, named, tracked, untracked)
         if j is None:
             return False, None
         return True, EvidenceWitness(frozenset(ev.named_rooms), j)
-    return ev.eval(f, named, anon, counts), None
+    return ev.eval(f, named, tracked, untracked), None
 
 
 def confirm_witness(v, w, f, witness, cap=None):
     """Re-run the inner universal check of ``[.]`` with exactly the witness's
-    evidence set (tracked rooms plus fresh_count fresh rooms)."""
+    evidence set (tracked rooms plus fresh_count fresh rooms).  Every fresh
+    room has the default state, and at most cap of them may be examined."""
     if not isinstance(f, AttainKnow):
         raise ValueError("witnesses only accompany [.] formulas")
-    ev, named, anon, counts = _context(v, w, f, cap)
+    ev, cap, named, tracked, untracked = _context(v, w, f, cap)
     if frozenset(ev.named_rooms) != witness.tracked:
         raise ValueError("witness tracked set does not match the world/formula")
-    for pins in ev.pin_multisets(counts, witness.fresh_count):
-        anon2 = tuple(a + p for a, p in zip(anon, pins))
-        if ev.universal(f.child, named, anon2):
-            return True
-    return False
+    if not 0 <= witness.fresh_count <= cap:
+        return False
+    if witness.fresh_count:
+        tracked |= untracked
+    return ev.universal(f.child, named, tracked)
 
 
 # ---------- the two bundled counterexamples ----------

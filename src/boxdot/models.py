@@ -190,17 +190,35 @@ def extension(m, f):
     return [w for i, w in enumerate(m.worlds) if mask >> i & 1]
 
 
+def _strings(value):
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def model_from_json(text):
-    """Read a model document: {"worlds": [...], "evidence": {...}, "valuation": {...}}."""
+    """Read a model document: {"worlds": [...], "evidence": {...}, "valuation": {...}}.
+
+    Raises ValueError unless worlds is a list of strings, evidence maps ids
+    to lists of lists of strings, and valuation maps atoms to lists of
+    strings."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("model document is not a JSON object")
     for key in ("worlds", "evidence", "valuation"):
         if key not in doc:
             raise ValueError(f"model document lacks {key!r}")
+    worlds, evidence, valuation = doc["worlds"], doc["evidence"], doc["valuation"]
+    if not _strings(worlds):
+        raise ValueError("'worlds' must be a list of strings")
+    if not (isinstance(evidence, dict)
+            and all(isinstance(blocks, list) and all(_strings(blk) for blk in blocks)
+                    for blocks in evidence.values())):
+        raise ValueError("'evidence' must map ids to lists of lists of strings")
+    if not (isinstance(valuation, dict) and all(_strings(ws) for ws in valuation.values())):
+        raise ValueError("'valuation' must map atoms to lists of strings")
     return FiniteEvidenceModel(
-        worlds=list(doc["worlds"]),
-        evidence={eid: [list(blk) for blk in blocks]
-                  for eid, blocks in doc["evidence"].items()},
-        valuation={atom: list(ws) for atom, ws in doc["valuation"].items()},
+        worlds=list(worlds),
+        evidence={eid: [list(blk) for blk in blocks] for eid, blocks in evidence.items()},
+        valuation={atom: list(ws) for atom, ws in valuation.items()},
     )
 
 

@@ -48,6 +48,13 @@ class TestCheckProof:
         code, _, err = run(capsys, "check-proof", str(bad))
         assert code == 2
 
+    def test_tautology_past_letter_cap(self, capsys, tmp_path):
+        chain = " -> ".join(f"a{i}" for i in range(21))
+        big = tmp_path / "big.proof"
+        big.write_text(f"1: {chain} -> a0 ; taut\n")
+        code, _, err = run(capsys, "check-proof", str(big))
+        assert code == 2 and err.startswith("error: ") and "cap" in err
+
     def test_json_report(self, capsys, tmp_path):
         good = tmp_path / "ok.proof"
         good.write_text("hyp 1: []p\n1: []p ; hyp 1\n2: []p -> p ; ax truth\n3: p ; mp 1 2\n")
@@ -89,6 +96,12 @@ class TestModelChecking:
         code, _, err = run(capsys, "mc", str(bad), "w1", "p")
         assert code == 2 and "invalid model" in err
 
+    def test_ill_typed_model_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"worlds": "ab", "evidence": {}, "valuation": {}}')
+        code, _, err = run(capsys, "mc", str(bad), "a", "p")
+        assert code == 2 and "worlds" in err
+
 
 class TestHotel:
     def test_true_with_witness(self, capsys):
@@ -109,6 +122,11 @@ class TestHotel:
         code, _, _ = run(capsys, "hotel", "--variant", "III",
                          "--world", "default=occupied", "p")
         assert code == 2
+
+    def test_modal_depth_past_cap(self, capsys):
+        code, _, err = run(capsys, "hotel", "--variant", "I",
+                           "--world", "default=occupied", "[.][.][.][.][.]exists_vacant")
+        assert code == 2 and err.startswith("error: ") and "depth" in err
 
     def test_bad_world_literal(self, capsys):
         code, _, err = run(capsys, "hotel", "--variant", "I",

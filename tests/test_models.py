@@ -115,6 +115,21 @@ def test_model_json_round_trip(two_world):
     assert model_from_json(model_to_json(two_world)) == two_world
 
 
+@pytest.mark.parametrize("doc", [
+    '{"worlds": "ab", "evidence": {}, "valuation": {}}',
+    '{"worlds": ["a", 1], "evidence": {}, "valuation": {}}',
+    '{"worlds": ["a"], "evidence": [], "valuation": {}}',
+    '{"worlds": ["a"], "evidence": {"e": ["a"]}, "valuation": {}}',
+    '{"worlds": ["a"], "evidence": {"e": [[1]]}, "valuation": {}}',
+    '{"worlds": ["a"], "evidence": {}, "valuation": {"p": "a"}}',
+    '{"worlds": ["a"], "evidence": {}, "valuation": []}',
+    '["worlds", "evidence", "valuation"]',
+])
+def test_model_json_rejects_ill_typed_fields(doc):
+    with pytest.raises(ValueError):
+        model_from_json(doc)
+
+
 def test_docs_model_example(two_world):
     with open("docs/model-example.json", encoding="utf-8") as fh:
         m = model_from_json(fh.read())
