@@ -139,7 +139,6 @@ def cmd_fuzz(args):
         max_worlds=args.max_worlds,
         max_evidence=args.max_evidence,
         max_proof_steps=args.max_steps,
-        max_formula_depth=args.max_depth,
     )
     report = run_soundness_fuzz(cfg)
     human = (f"theorems={report.theorems_checked} models={report.models_checked} "
@@ -232,7 +231,6 @@ def _build_parser():
     p.add_argument("--max-worlds", type=int, default=6)
     p.add_argument("--max-evidence", type=int, default=4)
     p.add_argument("--max-steps", type=int, default=8)
-    p.add_argument("--max-depth", type=int, default=5)
 
     p = add("unravel-sim", cmd_unravel_sim,
             "random labeled-sequence universes and their property report")

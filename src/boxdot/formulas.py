@@ -19,11 +19,15 @@ Grammar (whitespace-insensitive, ``#`` starts a line comment)::
     conj    := unary ( "&" unary )*
     unary   := ( "!" | "[]" | "[.]" ) unary | atom
     atom    := IDENT | "(" formula ")"
+
+Formulas may nest at most MAX_NESTING levels (see there); deeper input is a
+ParseError.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +40,7 @@ __all__ = [
     "Know",
     "ParseError",
     "CapacityError",
+    "MAX_NESTING",
     "parse",
     "modal_depth",
     "atom_names",
@@ -43,7 +48,11 @@ __all__ = [
     "substitute",
 ]
 
-IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
+# Deepest nesting ``parse`` accepts: of unary operators, parentheses and
+# ``->`` in the text, and of connectives in the desugared tree.  The parser,
+# the printer, the kernel and the evaluators all recurse over formulas, so
+# this keeps them well inside Python's default recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -135,82 +144,56 @@ class CapacityError(RuntimeError):
 
 # ---------- tokenizer ----------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+_Token = namedtuple("_Token", "kind text line column")
+
+_TOKEN_RE = re.compile(r"""
+    (?P<IDENT>[a-zA-Z_][a-zA-Z0-9_]*) | (?P<IFF><->) | (?P<ARROW>->)
+  | (?P<BOX>\[\]) | (?P<BOXDOT>\[\.\]) | (?P<NOT>!) | (?P<AND>&) | (?P<OR>\|)
+  | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<NEWLINE>\n) | (?P<SKIP>[ \t\r]+)
+  | (?P<COMMENT>\#[^\n]*) | (?P<ERROR>.)""", re.VERBOSE)
 
 
 def _tokenize(text):
     tokens = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start, end_col = 1, 0, 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        start, end = m.span()
+        col = start - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, end
+        elif kind == "COMMENT":
+            end_col = col  # end of input after a comment sits at the '#'
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("IDENT", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        if text.startswith("<->", i):
-            tokens.append(_Token("IFF", "<->", line, col))
-            i += 3
-            col += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch == "[":
-            if text.startswith("[]", i):
-                tokens.append(_Token("BOX", "[]", line, col))
-                i += 2
-                col += 2
-                continue
-            if text.startswith("[.]", i):
-                tokens.append(_Token("BOXDOT", "[.]", line, col))
-                i += 3
-                col += 3
-                continue
-            raise ParseError("unbalanced '[': expected '[]' or '[.]'", line, col)
-        for kind, lit in (("NOT", "!"), ("AND", "&"), ("OR", "|"),
-                          ("LPAREN", "("), ("RPAREN", ")")):
-            if ch == lit:
-                tokens.append(_Token(kind, lit, line, col))
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        i += 1
-        col += 1
-    tokens.append(_Token("EOF", "", line, col))
+        elif kind == "ERROR":
+            if m.group() == "[":
+                raise ParseError("unbalanced '[': expected '[]' or '[.]'", line, col)
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        elif kind != "SKIP":
+            tokens.append(_Token(kind, m.group(), line, col))
+        end_col = end - line_start + 1
+    tokens.append(_Token("EOF", "", line, end_col))
     return tokens
 
 
 # ---------- recursive-descent parser ----------
 
+_UNARY = {"NOT": Not, "BOX": Know, "BOXDOT": AttainKnow}
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0  # unary operators, parentheses and '->' now open
+
+    def enter(self):
+        """Consume the token that opens one more level of nesting."""
+        tok = self.advance()
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels",
+                             tok.line, tok.column)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -239,8 +222,9 @@ class _Parser:
     def parse_impl(self):
         left = self.parse_disj()
         if self.peek().kind == "ARROW":
-            self.advance()
+            self.enter()
             right = self.parse_impl()  # right-associative
+            self.nesting -= 1
             return Implies(left, right)
         return left
 
@@ -265,17 +249,13 @@ class _Parser:
         return f
 
     def parse_unary(self):
-        tok = self.peek()
-        if tok.kind == "NOT":
-            self.advance()
-            return Not(self.parse_unary())
-        if tok.kind == "BOX":
-            self.advance()
-            return Know(self.parse_unary())
-        if tok.kind == "BOXDOT":
-            self.advance()
-            return AttainKnow(self.parse_unary())
-        return self.parse_atom()
+        op = _UNARY.get(self.peek().kind)
+        if op is None:
+            return self.parse_atom()
+        self.enter()
+        f = op(self.parse_unary())
+        self.nesting -= 1
+        return f
 
     def parse_atom(self):
         tok = self.peek()
@@ -283,9 +263,10 @@ class _Parser:
             self.advance()
             return Atom(tok.text)
         if tok.kind == "LPAREN":
-            self.advance()
+            self.enter()
             f = self.parse_formula()
             self.expect("RPAREN", "')'")
+            self.nesting -= 1
             return f
         found = repr(tok.text) if tok.kind != "EOF" else "end of input"
         raise ParseError(f"expected an atom, '(', '!', '[]' or '[.]', found {found}",
@@ -306,7 +287,30 @@ def parse(text):
     tok = p.peek()
     if tok.kind != "EOF":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
+    # Without &, | and <-> the tree is at most one level deeper than the
+    # nesting the parser counted; their chains and desugaring can stack far
+    # more, so measure it.
+    if any(t.kind in ("AND", "OR", "IFF") for t in tokens) and _height(f) > MAX_NESTING:
+        raise ParseError(f"formula nests deeper than {MAX_NESTING} levels once "
+                         "&, | and <-> are desugared", 1, 1)
     return f
+
+
+def _height(f):
+    """Height of f's tree, level by level so that deep trees need no
+    recursion; subtrees that <-> shares are visited once per level."""
+    level, height = [f], 0
+    while True:
+        level = list({id(c): c for g in level for c in _children(g)}.values())
+        if not level:
+            return height
+        height += 1
+
+
+def _children(f):
+    if isinstance(f, Implies):
+        return (f.left, f.right)
+    return () if isinstance(f, Atom) else (f.child,)
 
 
 # ---------- structural queries ----------

@@ -77,7 +77,6 @@ class FuzzConfig:
     max_worlds: int = 6
     max_evidence: int = 4
     max_proof_steps: int = 8
-    max_formula_depth: int = 5
 
     def __post_init__(self):
         if self.num_theorems < 0 or self.num_models < 0:
@@ -86,8 +85,8 @@ class FuzzConfig:
             raise ValueError("max_worlds must be in 1..8")
         if not 1 <= self.max_evidence <= 6:
             raise ValueError("max_evidence must be in 1..6")
-        if self.max_proof_steps < 1 or self.max_formula_depth < 1:
-            raise ValueError("max_proof_steps and max_formula_depth must be >= 1")
+        if self.max_proof_steps < 1:
+            raise ValueError("max_proof_steps must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,10 @@ through its state, so one whose state is already tracked changes nothing.
 first, and holds when f holds at every valid successor of tracked + S;
 successors keep the tracked part and may have any nonempty set of
 untracked states.  The minimal fresh_count is the size of the smallest S
-that works.  The cap bounds |S| (cap 0 also makes all untracked rooms share
-one state); it defaults to modal_depth(f) + number of exists_* atoms + 2.
-Since |S| never exceeds the number of states, every cap at least that large
-gives the same answers.  ``tests/hotel_oracle.py`` keeps the former search
-over capped room counts and pin multisets as the reference.
+that works.  Since |S| never exceeds the number of states, the search is
+finite without any bound on the number of rooms examined, as in the paper.
+``tests/hotel_oracle.py`` keeps the former search over capped room counts
+and pin multisets as the reference.
 
 Atom spelling: ``exists_<state>`` and ``room_<index>_<state>``.
 World literals: ``default=<state>; <room>=<state>; ...``.
@@ -186,18 +185,17 @@ def _classify_atoms(f, v):
 # ---------- the quotient ----------
 
 class _HotelEval:
-    """Evaluator for a fixed (variant, cap, named tracked room set).
+    """Evaluator for a fixed (variant, named tracked room set).
 
     Abstract worlds are (named state tuple, set of states present among the
     tracked rooms, set of states present among the untracked rooms), the two
     sets as bitmasks over ``v.states``.  The memo table is a cache of pure
     results, so one evaluator may serve many formulas and worlds that share
-    the cap and the named room set.
+    the named room set.
     """
 
-    def __init__(self, v, cap, named_rooms):
+    def __init__(self, v, named_rooms):
         self.v = v
-        self.cap = cap
         self.named_rooms = named_rooms  # sorted tuple of room indices
         self.state_bit = {s: 1 << i for i, s in enumerate(v.states)}
         # guests and bedbugs never share a hotel
@@ -225,18 +223,13 @@ class _HotelEval:
 
     def successors(self, tracked):
         """Untracked-state sets of the valid worlds agreeing on the tracked
-        rooms: any nonempty set of states, or with cap 0 (no finite counts)
-        the one cofinite state alone.  Validity depends on the tracked part
-        only through its occupied/infested states, so the list is cached on
-        those."""
+        rooms: any nonempty set of states.  Validity depends on the tracked
+        part only through its occupied/infested states, so the list is cached
+        on those."""
         key = tracked & self.clash
         masks = self._succ_cache.get(key)
         if masks is None:
-            if self.cap:
-                masks = range(1, 1 << len(self.v.states))
-            else:
-                masks = self.state_bit.values()
-            masks = [m for m in masks
+            masks = [m for m in range(1, 1 << len(self.v.states))
                      if not self.clash or (key | m) & self.clash != self.clash]
             self._succ_cache[key] = masks
         return masks
@@ -271,7 +264,7 @@ class _HotelEval:
         state already tracked changes nothing, so only new states are tried,
         fewest first."""
         new = [b for b in self.state_bit.values() if untracked & b and not tracked & b]
-        for j in range(min(self.cap, len(new)) + 1):
+        for j in range(len(new) + 1):
             for pins in itertools.combinations(new, j):
                 if self.universal(child, named, tracked | sum(pins)):
                     return j
@@ -291,17 +284,16 @@ class EvalSession:
     def __init__(self):
         self._pool = {}
 
-    def evaluator(self, v, cap, named_rooms):
-        # caps beyond the number of states give identical answers
-        key = (v.name, min(cap, len(v.states)), named_rooms)
+    def evaluator(self, v, named_rooms):
+        key = (v.name, named_rooms)
         ev = self._pool.get(key)
         if ev is None:
-            ev = _HotelEval(v, key[1], named_rooms)
+            ev = _HotelEval(v, named_rooms)
             self._pool[key] = ev
         return ev
 
 
-def _context(v, w, f, cap, session=None):
+def _context(v, w, f, session=None):
     violation = validate_world(v, w)
     if violation is not None:
         raise ValueError(f"invalid world: {violation}")
@@ -312,30 +304,27 @@ def _context(v, w, f, cap, session=None):
     if len(names) > ATOM_COUNT_CAP:
         raise CapacityError(f"{len(names)} atoms exceed the cap of {ATOM_COUNT_CAP}")
     atoms = _classify_atoms(f, v)
-    if cap is None:
-        exists_atoms = sum(1 for kind in atoms.values() if kind[0] == "exists")
-        cap = depth + exists_atoms + 2
     named_rooms = set(w.exceptions)
     for kind in atoms.values():
         if kind[0] == "room":
             named_rooms.add(kind[1])
     named_rooms = tuple(sorted(named_rooms))
-    ev = (session or EvalSession()).evaluator(v, cap, named_rooms)
+    ev = (session or EvalSession()).evaluator(v, named_rooms)
     named = tuple(w.exceptions.get(r, w.default) for r in named_rooms)
     tracked = 0
     for s in named:
         tracked |= ev.state_bit[s]
-    return ev, cap, named, tracked, ev.state_bit[w.default]
+    return ev, named, tracked, ev.state_bit[w.default]
 
 
-def hotel_eval(v, w, f, cap=None, session=None):
+def hotel_eval(v, w, f, session=None):
     """Decide f at world w of the variant's infinite model.
 
     Returns (verdict, witness); the witness is present only when f itself is
     a ``[.]`` formula that holds, and then records the normalized evidence
     set: all named tracked rooms plus a minimal count of fresh rooms.
     """
-    ev, _, named, tracked, untracked = _context(v, w, f, cap, session)
+    ev, named, tracked, untracked = _context(v, w, f, session)
     if isinstance(f, AttainKnow):
         j = ev.attain(f.child, named, tracked, untracked)
         if j is None:
@@ -344,16 +333,16 @@ def hotel_eval(v, w, f, cap=None, session=None):
     return ev.eval(f, named, tracked, untracked), None
 
 
-def confirm_witness(v, w, f, witness, cap=None):
+def confirm_witness(v, w, f, witness):
     """Re-run the inner universal check of ``[.]`` with exactly the witness's
     evidence set (tracked rooms plus fresh_count fresh rooms).  Every fresh
-    room has the default state, and at most cap of them may be examined."""
+    room has the default state, so any positive count acts like one."""
     if not isinstance(f, AttainKnow):
         raise ValueError("witnesses only accompany [.] formulas")
-    ev, cap, named, tracked, untracked = _context(v, w, f, cap)
+    ev, named, tracked, untracked = _context(v, w, f)
     if frozenset(ev.named_rooms) != witness.tracked:
         raise ValueError("witness tracked set does not match the world/formula")
-    if not 0 <= witness.fresh_count <= cap:
+    if witness.fresh_count < 0:
         return False
     if witness.fresh_count:
         tracked |= untracked

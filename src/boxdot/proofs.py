@@ -33,6 +33,7 @@ from .formulas import (
     Know,
     Not,
     parse,
+    substitute,
 )
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "GenerationError",
     "ProofScriptError",
     "match_schema",
-    "instantiate",
     "is_tautology",
     "check_derivation",
     "parse_proof_script",
@@ -183,22 +183,6 @@ def _match(template, candidate, subst):
     if isinstance(template, Implies):
         return (_match(template.left, candidate.left, subst)
                 and _match(template.right, candidate.right, subst))
-    raise TypeError(f"not a formula: {template!r}")
-
-
-def instantiate(template, subst):
-    """Substitute metavariable atoms of a template by formulas."""
-    if isinstance(template, Atom):
-        return subst[template.name]
-    if isinstance(template, Not):
-        return Not(instantiate(template.child, subst))
-    if isinstance(template, AttainKnow):
-        return AttainKnow(instantiate(template.child, subst))
-    if isinstance(template, Know):
-        return Know(instantiate(template.child, subst))
-    if isinstance(template, Implies):
-        return Implies(instantiate(template.left, subst),
-                       instantiate(template.right, subst))
     raise TypeError(f"not a formula: {template!r}")
 
 
@@ -448,11 +432,11 @@ def random_theorem(seed, max_steps, retry_budget=50):
         if move == "axiom":
             name = rng.choice(tuple(SCHEMAS))
             subst = {"phi": _random_formula(rng, 2), "psi": _random_formula(rng, 2)}
-            add(instantiate(SCHEMAS[name], subst), Axiom(name))
+            add(substitute(SCHEMAS[name], subst), Axiom(name))
         elif move == "taut":
             template = rng.choice(_TAUT_TEMPLATES)
             subst = {v: _random_formula(rng, 2) for v in ("a", "b", "c")}
-            add(instantiate(template, subst), Taut())
+            add(substitute(template, subst), Taut())
         elif move == "mp":
             pairs = [(i, j)
                      for j, sj in enumerate(steps)

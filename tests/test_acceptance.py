@@ -20,6 +20,7 @@ from boxdot.fuzz import (
     run_soundness_fuzz,
 )
 from boxdot.hotel import (
+    MODAL_DEPTH_CAP,
     VARIANT_I,
     VARIANT_II,
     EvalSession,
@@ -32,6 +33,7 @@ from boxdot.proofs import check_derivation, random_theorem
 from boxdot.unravelling import random_universe, universe_report
 
 from helpers import mutate_derivation
+from hotel_oracle import default_cap, oracle_hotel_eval
 
 
 def _verdict(num, name, ok, detail=""):
@@ -154,7 +156,7 @@ def test_criterion_5_hotel_soundness():
         _, conclusion = random_theorem(derive_seed("hotel-sound", i), 8)
         for variant in (VARIANT_I, VARIANT_II):
             f = substitute(conclusion, HOTEL_ATOMS[variant.name])
-            if modal_depth(f) > 4:
+            if modal_depth(f) > MODAL_DEPTH_CAP:
                 skipped += 50
                 continue
             for w in hotel_panel(variant.name):
@@ -179,6 +181,8 @@ def _random_hotel_world(rng, variant):
 
 
 def test_criterion_6_cap_stability():
+    """The cap-free quotient gives the capped oracle's verdict and witness at
+    every cap from the oracle's default b0 to b0+3."""
     unstable = 0
     for variant in (VARIANT_I, VARIANT_II):
         session = EvalSession()
@@ -186,16 +190,14 @@ def test_criterion_6_cap_stability():
             rng = random.Random(derive_seed("cap", variant.name, i))
             w = _random_hotel_world(rng, variant)
             f = substitute(random_formula(rng, 3), HOTEL_ATOMS[variant.name])
-            from boxdot.formulas import atom_names
-            b0 = (modal_depth(f)
-                  + sum(1 for a in atom_names(f) if a.startswith("exists_"))
-                  + 2)
-            verdicts = {hotel_eval(variant, w, f, cap=b0 + extra, session=session)[0]
-                        for extra in range(4)}
-            if len(verdicts) != 1:
+            got = hotel_eval(variant, w, f, session=session)
+            b0 = default_cap(f)
+            if any(oracle_hotel_eval(variant, w, f, cap=cap) != got
+                   for cap in range(b0, b0 + 4)):
                 unstable += 1
     _verdict(6, "cap stability", unstable == 0,
-             f"500 evaluations per variant at caps b0..b0+3, {unstable} unstable")
+             f"500 cases per variant, quotient against oracle at caps b0..b0+3, "
+             f"{unstable} unstable")
 
 
 def test_criterion_7_sequence_properties():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from boxdot.cli import cli
+from boxdot.corpus import CORPUS_SCRIPTS
 
 
 def run(capsys, *argv):
@@ -26,10 +27,18 @@ class TestParse:
         code, _, err = run(capsys, "parse", "p ->")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("text", ["(" * 600 + "p" + ")" * 600, " & ".join(["p"] * 2000)])
+    def test_deep_nesting_is_usage_error(self, capsys, text):
+        code, out, err = run(capsys, "parse", text)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert "nests deeper" in err
+
 
 class TestCheckProof:
-    def test_accepted(self, capsys):
-        code, out, _ = run(capsys, "check-proof", "docs/proof-scripts/lemma1.proof")
+    def test_accepted(self, capsys, tmp_path):
+        script = tmp_path / "lemma1.proof"
+        script.write_text(CORPUS_SCRIPTS["lemma1"])
+        code, out, _ = run(capsys, "check-proof", str(script))
         assert code == 0 and "accepted" in out
 
     def test_rejected(self, capsys, tmp_path):

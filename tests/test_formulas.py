@@ -10,6 +10,7 @@ from boxdot.formulas import (
     AttainKnow,
     Implies,
     Know,
+    MAX_NESTING,
     Not,
     ParseError,
     atom_names,
@@ -86,6 +87,37 @@ class TestParse:
     def test_chained_iff_is_rejected(self):
         with pytest.raises(ParseError):
             parse("p <-> q <-> p")
+
+
+class TestNesting:
+    @pytest.mark.parametrize("text", [
+        "!" * MAX_NESTING + "p",
+        "(" * MAX_NESTING + "p" + ")" * MAX_NESTING,
+        "p" + " -> p" * MAX_NESTING,
+        " & ".join(["p"] * (MAX_NESTING // 2)),
+    ])
+    def test_deepest_accepted_formulas_recurse_safely(self, text):
+        f = parse(text)
+        assert str(f) and hash(f) is not None and modal_depth(f) == 0
+        assert substitute(f, {"p": q}) != f
+
+    @pytest.mark.parametrize("text,column", [
+        ("!" * 3000 + "p", MAX_NESTING + 1),
+        ("(" * 600 + "p" + ")" * 600, MAX_NESTING + 1),
+        ("[.]" * 400 + "p", 3 * MAX_NESTING + 1),
+        ("p" + " -> p" * 2000, 5 * MAX_NESTING + 3),
+    ])
+    def test_too_deep_is_a_positioned_parse_error(self, text, column):
+        with pytest.raises(ParseError, match="nests deeper") as info:
+            parse(text)
+        assert (info.value.line, info.value.column) == (1, column)
+
+    @pytest.mark.parametrize("op", ["&", "|"])
+    def test_long_chains_are_measured_after_desugaring(self, op):
+        # each link of a chain adds two levels to the desugared tree
+        parse(f" {op} ".join(["p"] * (MAX_NESTING // 2)))
+        with pytest.raises(ParseError, match="desugared"):
+            parse(f" {op} ".join(["p"] * (MAX_NESTING // 2 + 2)))
 
 
 class TestPrint:

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxdot.formulas import AttainKnow, CapacityError, Know, parse, substitute
+from boxdot.formulas import AttainKnow, CapacityError, Know, modal_depth, parse, substitute
 from boxdot.fuzz import HOTEL_ATOMS, hotel_panel, random_formula
 from boxdot.hotel import (
+    MODAL_DEPTH_CAP,
     VARIANT_I,
     VARIANT_II,
     EvalSession,
+    EvidenceWitness,
     HotelWorld,
     confirm_witness,
     counterexample_report,
@@ -19,6 +21,8 @@ from boxdot.hotel import (
     validate_world,
 )
 from boxdot.proofs import random_theorem
+
+from hotel_oracle import default_cap, oracle_hotel_eval
 
 
 class TestValidateWorld:
@@ -117,6 +121,16 @@ class TestHotelEvalExamples:
         assert witness.tracked == frozenset()
         assert witness.fresh_count == 1
 
+    def test_confirm_witness_counts_fresh_rooms_without_a_cap(self):
+        # every fresh room has the default state, so ten act like one
+        f = parse("[.]exists_vacant")
+        for w in (HotelWorld("vacant"), HotelWorld("occupied")):
+            one = confirm_witness(VARIANT_I, w, f, EvidenceWitness(frozenset(), 1))
+            assert confirm_witness(VARIANT_I, w, f, EvidenceWitness(frozenset(), 10)) == one
+            assert not confirm_witness(VARIANT_I, w, f, EvidenceWitness(frozenset(), -1))
+        assert confirm_witness(VARIANT_I, HotelWorld("vacant"), f,
+                               EvidenceWitness(frozenset(), 10))
+
     def test_separation_know_without_attain(self):
         f = parse("!exists_vacant")
         assert hotel_eval(VARIANT_I, FULL, Know(f))[0]
@@ -202,16 +216,16 @@ def _random_hotel_formula(rng, variant, max_depth=3):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), st.sampled_from(("I", "II")))
 def test_cap_stability(seed, variant_name):
+    """The cap-free evaluator matches the capped oracle at caps b0..b0+3."""
     rng = random.Random(seed)
     variant = {"I": VARIANT_I, "II": VARIANT_II}[variant_name]
     w = _random_world(rng, variant)
     f = _random_hotel_formula(rng, variant)
-    base, _ = hotel_eval(variant, w, f)
-    from boxdot.formulas import modal_depth, atom_names
-    b0 = modal_depth(f) + sum(1 for a in atom_names(f) if a.startswith("exists_")) + 2
-    for extra in range(4):
-        verdict, _ = hotel_eval(variant, w, f, cap=b0 + extra)
-        assert verdict == base, (str(f), format_world(w), b0 + extra)
+    base = hotel_eval(variant, w, f)
+    b0 = default_cap(f)
+    for cap in range(b0, b0 + 4):
+        assert oracle_hotel_eval(variant, w, f, cap=cap) == base, (
+            str(f), format_world(w), cap)
 
 
 @settings(max_examples=80, deadline=None)
@@ -330,8 +344,7 @@ def test_kernel_theorems_hold_on_hotel_sample():
         _, conclusion = random_theorem(seed, 6)
         for variant in (VARIANT_I, VARIANT_II):
             f = substitute(conclusion, HOTEL_ATOMS[variant.name])
-            from boxdot.formulas import modal_depth
-            if modal_depth(f) > 4:
+            if modal_depth(f) > MODAL_DEPTH_CAP:
                 continue
             for w in hotel_panel(variant.name)[:10]:
                 verdict, _ = hotel_eval(variant, w, f, session=session)

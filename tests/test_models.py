@@ -16,7 +16,7 @@ from boxdot.models import (
     satisfies,
     validate_model,
 )
-from boxdot.proofs import SCHEMAS, instantiate, random_theorem
+from boxdot.proofs import SCHEMAS, random_theorem
 
 from helpers import random_core_formula
 
@@ -169,7 +169,7 @@ def test_axiom_instances_valid_everywhere(seed):
     rng = random.Random(seed)
     m = random_model(seed, _bounds())
     schema = rng.choice(tuple(SCHEMAS))
-    inst = instantiate(SCHEMAS[schema], {"phi": random_core_formula(rng, 2),
+    inst = substitute(SCHEMAS[schema], {"phi": random_core_formula(rng, 2),
                                          "psi": random_core_formula(rng, 2)})
     assert extension(m, inst) == m.worlds
 

@@ -5,7 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxdot.corpus import CORPUS_SCRIPTS, corpus
-from boxdot.formulas import Atom, AttainKnow, CapacityError, Implies, Know, Not, parse
+from boxdot.formulas import (
+    Atom,
+    AttainKnow,
+    CapacityError,
+    Implies,
+    Know,
+    Not,
+    parse,
+    substitute,
+)
 from boxdot.proofs import (
     SCHEMAS,
     AttNec,
@@ -19,7 +28,6 @@ from boxdot.proofs import (
     Taut,
     check_derivation,
     format_derivation,
-    instantiate,
     is_tautology,
     match_schema,
     parse_proof_script,
@@ -52,10 +60,10 @@ class TestMatchSchema:
             name = rng.choice(tuple(SCHEMAS))
             subst = {"phi": random_core_formula(rng, 3),
                      "psi": random_core_formula(rng, 3)}
-            instance = instantiate(SCHEMAS[name], subst)
+            instance = substitute(SCHEMAS[name], subst)
             found = match_schema(instance, name)
             assert found is not None
-            assert instantiate(SCHEMAS[name], found) == instance
+            assert substitute(SCHEMAS[name], found) == instance
 
 
 class TestIsTautology:
@@ -285,6 +293,6 @@ def test_one_step_schema_derivations_accepted():
         for _ in range(170):
             subst = {"phi": random_core_formula(rng, 2),
                      "psi": random_core_formula(rng, 2)}
-            d = Derivation((), (ProofStep(instantiate(SCHEMAS[name], subst),
+            d = Derivation((), (ProofStep(substitute(SCHEMAS[name], subst),
                                           Axiom(name)),))
             assert check_derivation(d).accepted
