@@ -20,7 +20,8 @@ Grammar (whitespace-insensitive, ``#`` starts a line comment)::
     unary   := ( "!" | "[]" | "[.]" ) unary | atom
     atom    := IDENT | "(" formula ")"
 
-Formulas may nest at most MAX_NESTING levels (see there); deeper input is a
+Formulas may nest at most MAX_NESTING levels, and the desugared tree of a
+formula may have at most MAX_TREE_SIZE nodes (see there); other input is a
 ParseError.
 """
 
@@ -41,6 +42,7 @@ __all__ = [
     "ParseError",
     "CapacityError",
     "MAX_NESTING",
+    "MAX_TREE_SIZE",
     "parse",
     "modal_depth",
     "atom_names",
@@ -53,6 +55,14 @@ __all__ = [
 # the printer, the kernel and the evaluators all recurse over formulas, so
 # this keeps them well inside Python's default recursion limit.
 MAX_NESTING = 100
+
+# Most nodes the desugared tree of a formula may have.  ``parse`` shares the
+# two operands of ``<->``, so each nested ``<->`` doubles the tree that the
+# printer, ``subformulas`` and the evaluators walk; 16 levels of 129
+# characters would make about half a million nodes.  Text without ``&``,
+# ``|`` and ``<->`` makes one node per atom, operator and ``->``, so it is
+# not measured: its tree is no larger than the text.
+MAX_TREE_SIZE = 10_000
 
 
 @dataclass(frozen=True)
@@ -288,11 +298,16 @@ def parse(text):
     if tok.kind != "EOF":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
     # Without &, | and <-> the tree is at most one level deeper than the
-    # nesting the parser counted; their chains and desugaring can stack far
-    # more, so measure it.
-    if any(t.kind in ("AND", "OR", "IFF") for t in tokens) and _height(f) > MAX_NESTING:
-        raise ParseError(f"formula nests deeper than {MAX_NESTING} levels once "
-                         "&, | and <-> are desugared", 1, 1)
+    # nesting the parser counted, and no larger than the text; their chains
+    # and desugaring can stack and copy far more, so measure it.
+    if any(t.kind in ("AND", "OR", "IFF") for t in tokens):
+        if _height(f) > MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels once "
+                             "&, | and <-> are desugared", 1, 1)
+        size = _size(f, {})
+        if size > MAX_TREE_SIZE:
+            raise ParseError(f"formula has {size} nodes once &, | and <-> are desugared, "
+                             f"more than {MAX_TREE_SIZE}", 1, 1)
     return f
 
 
@@ -305,6 +320,16 @@ def _height(f):
         if not level:
             return height
         height += 1
+
+
+def _size(f, sizes):
+    """Node count of f's tree, computed on the DAG: a subtree that <-> shares
+    is counted at each of its occurrences but visited once.  The tree's
+    height is already checked, so the recursion stays shallow."""
+    n = sizes.get(id(f))
+    if n is None:
+        n = sizes[id(f)] = 1 + sum(_size(c, sizes) for c in _children(f))
+    return n
 
 
 def _children(f):

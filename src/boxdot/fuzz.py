@@ -208,8 +208,6 @@ def run_soundness_fuzz(cfg):
             except GenerationError:
                 bump += 1
         theorems.append(conclusion)
-    models = [random_model(derive_seed(cfg.seed, "model", k), cfg)
-              for k in range(cfg.num_models)]
 
     evaluations = 0
     skipped = 0
@@ -221,7 +219,9 @@ def run_soundness_fuzz(cfg):
     for t in theorems:
         groups[t] = groups.get(t, 0) + 1
 
-    for k, m in enumerate(models):
+    # each model, and its evaluator's memo, lives for one pass of the loop
+    for k in range(cfg.num_models):
+        m = random_model(derive_seed(cfg.seed, "model", k), cfg)
         ev = m.evaluator()
         nworlds = len(m.worlds)
         for t, mult in groups.items():
@@ -256,7 +256,7 @@ def run_soundness_fuzz(cfg):
 
     return FuzzReport(
         theorems_checked=len(theorems),
-        models_checked=len(models),
+        models_checked=cfg.num_models,
         evaluations=evaluations,
         skipped=skipped,
         violations=violations,

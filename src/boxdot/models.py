@@ -2,12 +2,17 @@
 
 A model is a finite world set, a finite evidence set where each piece of
 evidence carries a partition of the worlds (its indistinguishability classes),
-and a valuation.  ``[.]f`` holds at w when truth of f over some
-finite-evidence indistinguishability class of w is guaranteed; since the
-whole evidence set is finite here, the evaluator enumerates *all* subsets of
-it.  ``[]f`` uses the full evidence set.  On finite models the two collapse;
-keeping the honest subset enumeration is what lets the test suite observe
-that collapse rather than assume it.
+and a valuation.  ``[.]f`` holds at w when f holds throughout w's class under
+the common refinement of *some* finite subset of the evidence; ``[]f`` uses
+the full evidence set.  The evaluator computes the refinements of all
+subsets at once, as the closure of the one-block partition under meet with
+each piece of evidence, and keeps the distinct classes that occur in any of
+them.  ``[.]`` maps a child's world mask to the union of those classes that
+lie inside the mask, memoised on the mask; ``[]`` keeps each world whose
+class under the full evidence set lies inside it.  On finite models the two
+operators collapse; evaluating ``[.]`` over every subset's partition instead
+of the full evidence set is what lets the test suite observe that collapse
+rather than assume it.
 """
 
 from __future__ import annotations
@@ -106,6 +111,8 @@ class _Evaluator:
             self.atom_mask[atom] = mask
         self._class_cache = {}
         self._ext_cache = {}
+        self._attain_classes = None  # distinct classes of every subset's refinement
+        self._attain_cache = {}       # child mask -> [.] mask
 
     def class_masks(self, eids):
         """Per-world masks of the common refinement over the given evidence ids."""
@@ -143,18 +150,40 @@ class _Evaluator:
                     mask |= 1 << i
         elif isinstance(f, AttainKnow):
             child = self.extension_mask(f.child)
-            mask = 0
-            eids = self.evidence_ids
-            for bits in range(1 << len(eids)):
-                subset = [eids[k] for k in range(len(eids)) if bits >> k & 1]
-                classes = self.class_masks(subset)
-                for i, cls in enumerate(classes):
+            mask = self._attain_cache.get(child)
+            if mask is None:
+                if self._attain_classes is None:
+                    self._attain_classes = self._subset_classes()
+                mask = 0
+                for cls in self._attain_classes:
                     if cls & ~child == 0:
-                        mask |= 1 << i
+                        mask |= cls
+                self._attain_cache[child] = mask
         else:
             raise TypeError(f"not a formula: {f!r}")
         self._ext_cache[f] = mask
         return mask
+
+    def _subset_classes(self):
+        """Distinct classes of the refinements of all evidence subsets.
+
+        Meeting with one more piece of evidence refines the refinement of a
+        subset into that of the subset with it added, so closing the
+        one-block partition under those meets reaches every subset's
+        refinement, each partition (a per-world tuple of class masks) once."""
+        top = (self.full,) * len(self.model.worlds)
+        seen = {top}
+        frontier = [top]
+        while frontier:
+            fresh = []
+            for part in frontier:
+                for per_world in self.block_mask.values():
+                    meet = tuple(a & b for a, b in zip(part, per_world))
+                    if meet not in seen:
+                        seen.add(meet)
+                        fresh.append(meet)
+            frontier = fresh
+        return tuple({cls for part in seen for cls in part})
 
 
 def indist(m, evidence_ids):

@@ -34,6 +34,15 @@ class TestParse:
         assert "nests deeper" in err
 
 
+    def test_tree_past_the_size_bound_is_usage_error(self, capsys):
+        text = "p"
+        for _ in range(16):
+            text = f"({text} <-> p)"
+        code, out, err = run(capsys, "parse", text)
+        assert code == 2 and out == ""
+        assert err.startswith("error: 1:1: formula has 524281 nodes once")
+
+
 class TestCheckProof:
     def test_accepted(self, capsys, tmp_path):
         script = tmp_path / "lemma1.proof"
@@ -110,6 +119,30 @@ class TestModelChecking:
         bad.write_text('{"worlds": "ab", "evidence": {}, "valuation": {}}')
         code, _, err = run(capsys, "mc", str(bad), "a", "p")
         assert code == 2 and "worlds" in err
+
+    def test_forty_pieces_of_evidence(self, capsys, tmp_path):
+        # 40 pieces, each splitting six cells of worlds ({w0}..{w3}, {w4, w5},
+        # {w6, w7}) in two; enumerating the evidence subsets would take 2^40
+        # steps
+        worlds = [f"w{i}" for i in range(8)]
+        cells = [["w0"], ["w1"], ["w2"], ["w3"], ["w4", "w5"], ["w6", "w7"]]
+        evidence = {}
+        for k in range(1, 41):
+            evidence[f"e{k}"] = [sum((c for i, c in enumerate(cells) if k >> i & 1), []),
+                                 sum((c for i, c in enumerate(cells) if not k >> i & 1), [])]
+        model = tmp_path / "forty.json"
+        model.write_text(json.dumps({"worlds": worlds, "evidence": evidence,
+                                     "valuation": {"p": ["w0", "w4", "w6", "w7"]}}))
+        assert run(capsys, "mc", str(model), "w0", "[.]p")[0] == 0
+        assert run(capsys, "mc", str(model), "w4", "[.]p")[0] == 1
+        for body in ("p", "!p", "p -> [.]p", "[.]!p"):
+            exts = []
+            for op in ("[.]", "[]"):
+                code, out, _ = run(capsys, "mc-valid", "--json", str(model), f"{op}({body})")
+                assert code in (0, 1)
+                exts.append(json.loads(out)["extension"])
+            assert exts[0] == exts[1]
+        assert exts[0] == ["w1", "w2", "w3"]  # [.]!p
 
 
 class TestHotel:

@@ -11,11 +11,13 @@ from boxdot.formulas import (
     Implies,
     Know,
     MAX_NESTING,
+    MAX_TREE_SIZE,
     Not,
     ParseError,
     atom_names,
     modal_depth,
     parse,
+    subformulas,
     substitute,
 )
 from boxdot.proofs import eval_skeleton, skeleton_letters
@@ -118,6 +120,41 @@ class TestNesting:
         parse(f" {op} ".join(["p"] * (MAX_NESTING // 2)))
         with pytest.raises(ParseError, match="desugared"):
             parse(f" {op} ".join(["p"] * (MAX_NESTING // 2 + 2)))
+
+
+def _nested_iff(levels):
+    text = "p"
+    for _ in range(levels):
+        text = f"({text} <-> p)"
+    return text
+
+
+def _full_implication(height):
+    if height == 0:
+        return "p"
+    half = _full_implication(height - 1)
+    return f"({half} -> {half})"
+
+
+class TestTreeSize:
+    def test_nested_iff_below_the_bound_is_counted_exactly(self):
+        f = parse(_nested_iff(10))
+        assert len(subformulas(f)) == 8185 <= MAX_TREE_SIZE
+
+    @pytest.mark.parametrize("levels,size", [(11, 16377), (12, 32761), (16, 524281)])
+    def test_nested_iff_past_the_bound_is_a_parse_error(self, levels, size):
+        with pytest.raises(ParseError, match=f"formula has {size} nodes once .* are "
+                                             f"desugared, more than {MAX_TREE_SIZE}") as info:
+            parse(_nested_iff(levels))
+        assert (info.value.line, info.value.column) == (1, 1)
+
+    def test_sugar_is_measured_on_the_tree_it_builds(self):
+        # a conjunction of two 8191-node trees; the same tree written
+        # without '&' is as large as its text and is not measured
+        half = _full_implication(12)
+        with pytest.raises(ParseError, match="formula has 16385 nodes"):
+            parse(f"{half} & {half}")
+        assert len(subformulas(parse(f"!({half} -> !{half})"))) == 16385
 
 
 class TestPrint:
