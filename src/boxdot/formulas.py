@@ -30,7 +30,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 __all__ = [
     "Formula",
@@ -340,30 +339,43 @@ def _children(f):
 
 # ---------- structural queries ----------
 
-@lru_cache(maxsize=None)
+# modal_depth and atom_names keep their answer on the node, as _cached_hash
+# does the hash, so it lives as long as the formula.  A module-wide table
+# would outlive the formulas it was filled with, and every later lookup of an
+# equal but distinct tree would compare the two trees node by node.
+
 def modal_depth(f):
     """Maximum nesting of [.] / [] along any root-to-leaf path."""
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Not):
-        return modal_depth(f.child)
-    if isinstance(f, Implies):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, (AttainKnow, Know)):
-        return 1 + modal_depth(f.child)
-    raise TypeError(f"not a formula: {f!r}")
+    depth = getattr(f, "_depth", None)
+    if depth is None:
+        if isinstance(f, Atom):
+            depth = 0
+        elif isinstance(f, Not):
+            depth = modal_depth(f.child)
+        elif isinstance(f, Implies):
+            depth = max(modal_depth(f.left), modal_depth(f.right))
+        elif isinstance(f, (AttainKnow, Know)):
+            depth = 1 + modal_depth(f.child)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        object.__setattr__(f, "_depth", depth)
+    return depth
 
 
-@lru_cache(maxsize=None)
 def atom_names(f):
     """Set of atom names occurring in f (as a frozenset)."""
-    if isinstance(f, Atom):
-        return frozenset((f.name,))
-    if isinstance(f, (Not, AttainKnow, Know)):
-        return atom_names(f.child)
-    if isinstance(f, Implies):
-        return atom_names(f.left) | atom_names(f.right)
-    raise TypeError(f"not a formula: {f!r}")
+    names = getattr(f, "_atom_names", None)
+    if names is None:
+        if isinstance(f, Atom):
+            names = frozenset((f.name,))
+        elif isinstance(f, (Not, AttainKnow, Know)):
+            names = atom_names(f.child)
+        elif isinstance(f, Implies):
+            names = atom_names(f.left) | atom_names(f.right)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        object.__setattr__(f, "_atom_names", names)
+    return names
 
 
 def subformulas(f):

@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, Tuple
 
 from .formulas import (
@@ -169,7 +168,6 @@ def _parse_atom(name, v):
     return None
 
 
-@lru_cache(maxsize=None)
 def _classify_atoms(f, v):
     atoms = {}
     for name in atom_names(f):
@@ -279,10 +277,20 @@ class EvalSession:
     """Pool of evaluators whose memo tables persist across calls.
 
     Evaluation is pure, so sharing is only a cache; use one session when
-    checking many formulas against many worlds (the soundness fuzz does)."""
+    checking many formulas against many worlds (the soundness fuzz does).
+    The session also keeps each formula's classified atoms, so a formula
+    checked at many worlds parses its atom names once."""
 
     def __init__(self):
         self._pool = {}
+        self._atoms = {}
+
+    def atoms(self, f, v):
+        key = (f, v.name)
+        atoms = self._atoms.get(key)
+        if atoms is None:
+            atoms = self._atoms[key] = _classify_atoms(f, v)
+        return atoms
 
     def evaluator(self, v, named_rooms):
         key = (v.name, named_rooms)
@@ -303,13 +311,14 @@ def _context(v, w, f, session=None):
         raise CapacityError(f"modal depth {depth} exceeds the cap of {MODAL_DEPTH_CAP}")
     if len(names) > ATOM_COUNT_CAP:
         raise CapacityError(f"{len(names)} atoms exceed the cap of {ATOM_COUNT_CAP}")
-    atoms = _classify_atoms(f, v)
+    session = session or EvalSession()
+    atoms = session.atoms(f, v)
     named_rooms = set(w.exceptions)
     for kind in atoms.values():
         if kind[0] == "room":
             named_rooms.add(kind[1])
     named_rooms = tuple(sorted(named_rooms))
-    ev = (session or EvalSession()).evaluator(v, named_rooms)
+    ev = session.evaluator(v, named_rooms)
     named = tuple(w.exceptions.get(r, w.default) for r in named_rooms)
     tracked = 0
     for s in named:

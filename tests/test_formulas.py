@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,21 @@ class TestQueries:
     ])
     def test_atom_names(self, text, names):
         assert atom_names(parse(text)) == names
+
+    def test_queries_keep_no_formula_alive(self):
+        # the answers live on the nodes, so a dropped formula is freed and a
+        # later equal one never meets it in a shared table
+        f = parse("[.]([]freed_p -> [.][.]freed_q)")  # equal to no other test's
+        assert (modal_depth(f), atom_names(f)) == (3, {"freed_p", "freed_q"})
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
+
+    def test_queries_reject_non_formulas(self):
+        for query in (modal_depth, atom_names):
+            with pytest.raises(TypeError):
+                query("p")
 
     def test_substitute(self):
         f = parse("[]p -> (q -> p)")

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,18 @@ class TestHotelEvalExamples:
         assert hotel_eval(VARIANT_I, w, parse("room_7_vacant"))[0]
         assert not hotel_eval(VARIANT_I, w, parse("room_6_vacant"))[0]
         assert hotel_eval(VARIANT_I, w, parse("[.]room_7_vacant"))[0]
+
+    def test_formula_lives_no_longer_than_its_session(self):
+        # hotel_eval keeps per-formula work in the session, not in a
+        # module-wide table, so a formula is freed with its session
+        f = parse("[.](room_5_vacant -> [.]room_6_occupied)")  # equal to no other test's
+        session = EvalSession()
+        hotel_eval(VARIANT_I, FULL, f, session=session)
+        hotel_eval(VARIANT_I, EMPTY, f)
+        ref = weakref.ref(f)
+        del f, session
+        gc.collect()
+        assert ref() is None
 
 
 class TestErrors:
