@@ -77,6 +77,13 @@ class Formula:
             object.__setattr__(self, "_hash", h)
         return h
 
+    # A string's hash depends on the process's hash seed, so a cached hash
+    # must not travel in a pickle.
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
 
 @dataclass(frozen=True)
 class Atom(Formula):

@@ -12,24 +12,23 @@ agreement on *all* rooms pins the world completely, ``[]f`` holds exactly
 where f does; ``[.]f`` asks for a finite set F of rooms whose examination
 guarantees f across every valid world agreeing on F.
 
-Evaluation strategy: an exact finite quotient.  Untracked rooms are
-interchangeable, so relative to a set of tracked rooms a world is
-abstracted as (the states of the named tracked rooms, the set of states
-present among all tracked rooms, the set of states present among the
-untracked rooms).  No formula tells apart two worlds with the same
-abstraction: atoms read the named states and whether a state occurs at
-all; validity reads only which states occur; and for ``[.]`` it is enough
-to search F = all tracked rooms plus j fresh untracked rooms, since
-enlarging F only shrinks the agreement class and a fresh room matters only
-through its state, so one whose state is already tracked changes nothing.
-``[.]f`` thus tries sets S of untracked, not yet tracked states, fewest
-first, and holds when f holds at every valid successor of tracked + S;
-successors keep the tracked part and may have any nonempty set of
-untracked states.  The minimal fresh_count is the size of the smallest S
-that works.  Since |S| never exceeds the number of states, the search is
-finite without any bound on the number of rooms examined, as in the paper.
-``tests/hotel_oracle.py`` keeps the former search over capped room counts
-and pin multisets as the reference.
+Evaluation strategy: an exact finite quotient, labelled by the engine of
+``boxdot.models``.  Untracked rooms are interchangeable, so relative to
+the tracked rooms (the world's exceptions and the rooms f names) a world
+is abstracted as the named rooms' states plus a point (t, u): the sets of
+states present among the tracked and among the untracked rooms.  Atoms
+read the named states and whether a state occurs; validity reads which
+states occur; and ``[.]`` need only examine the tracked rooms plus fresh
+ones, where a fresh room matters only through a state not yet tracked.
+The named states never change, so room atoms are constants, and one
+structure per variant and set of true room atoms labels each formula node
+once over at most 2^(2k) points for k states.  ``[]`` is the identity;
+``[.]f`` holds at (t, u) when some t2 with t <= t2 <= t | u has its whole
+neighbourhood, the valid points (t2, u2), inside f's label.  A true
+``[.]`` root tries new states fewest first for a minimal fresh_count,
+which never exceeds k, so nothing bounds the rooms examined, the modal
+depth or the number of atoms, as in the paper.  ``tests/hotel_oracle.py``
+keeps the former search over capped room counts as the reference.
 
 Atom spelling: ``exists_<state>`` and ``room_<index>_<state>``.
 World literals: ``default=<state>; <room>=<state>; ...``.
@@ -40,19 +39,11 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Tuple
 
-from .formulas import (
-    Atom,
-    AttainKnow,
-    CapacityError,
-    Implies,
-    Know,
-    Not,
-    atom_names,
-    modal_depth,
-    parse,
-)
+from .formulas import AttainKnow, atom_names, parse
+from .models import _Evaluator
 
 __all__ = [
     "HotelVariant",
@@ -63,8 +54,6 @@ __all__ = [
     "EvidenceWitness",
     "EvalSession",
     "CounterexampleReport",
-    "MODAL_DEPTH_CAP",
-    "ATOM_COUNT_CAP",
     "parse_world_literal",
     "format_world",
     "validate_world",
@@ -72,9 +61,6 @@ __all__ = [
     "confirm_witness",
     "counterexample_report",
 ]
-
-MODAL_DEPTH_CAP = 4
-ATOM_COUNT_CAP = 6
 
 @dataclass(frozen=True)
 class HotelVariant:
@@ -168,162 +154,117 @@ def _parse_atom(name, v):
     return None
 
 
-def _classify_atoms(f, v):
-    atoms = {}
-    for name in atom_names(f):
-        parsed = _parse_atom(name, v)
-        if parsed is None:
-            raise ValueError(
-                f"unknown hotel atom {name!r}; expected exists_<state> or "
-                f"room_<index>_<state> over variant-{v.name} states {v.states}")
-        atoms[name] = parsed
-    return atoms
-
-
 # ---------- the quotient ----------
 
-class _HotelEval:
-    """Evaluator for a fixed (variant, named tracked room set).
+@lru_cache(maxsize=None)
+def _frame(v):
+    """One variant's quotient: the number k of states, each state's bit,
+    the valid points, the ``exists_<state>`` masks, each tracked set's
+    neighbourhood (the valid points with that t) and the ``[.]`` pairs."""
+    k = len(v.states)
+    state_bit = {s: 1 << i for i, s in enumerate(v.states)}
+    # guests and bedbugs never share a hotel
+    clash = (state_bit["occupied"] | state_bit["infested"]
+             if "infested" in state_bit else 0)
+    sets = range(1 << k)
+    valid = [(t, u) for t in sets for u in sets
+             if u and (not clash or (t | u) & clash != clash)]
 
-    Abstract worlds are (named state tuple, set of states present among the
-    tracked rooms, set of states present among the untracked rooms), the two
-    sets as bitmasks over ``v.states``.  The memo table is a cache of pure
-    results, so one evaluator may serve many formulas and worlds that share
-    the named room set.
-    """
+    def points(keep):
+        mask = 0
+        for t, u in valid:
+            if keep(t, u):
+                mask |= 1 << (t << k | u)
+        return mask
 
-    def __init__(self, v, named_rooms):
-        self.v = v
-        self.named_rooms = named_rooms  # sorted tuple of room indices
-        self.state_bit = {s: 1 << i for i, s in enumerate(v.states)}
-        # guests and bedbugs never share a hotel
-        self.clash = (self.state_bit["occupied"] | self.state_bit["infested"]
-                      if "infested" in v.states else 0)
-        self.memo = {}
-        self._succ_cache = {}
-        self._atom_cache = {}
+    nbhd = tuple(points(lambda t, u: t == t2) for t2 in sets)
+    # fresh rooms of states in u move the tracked set from t to any t2
+    # between t and t | u, so (t, u) owns every such t2
+    pairs = tuple((nbhd[t2], owners) for t2 in sets
+                  if (owners := points(lambda t, u: t & ~t2 == 0 and t2 & ~(t | u) == 0)))
+    exists = {f"exists_{s}": points(lambda t, u: (t | u) & bit)
+              for s, bit in state_bit.items()}
+    return k, state_bit, points(lambda t, u: True), exists, nbhd, pairs
 
-    # -- atoms --
 
-    def atom_true(self, name, named, tracked, untracked):
-        kind = self._atom_cache.get(name)
-        if kind is None:
-            kind = _parse_atom(name, self.v)
-            if kind is None:
-                raise ValueError(f"unknown hotel atom {name!r}")
-            self._atom_cache[name] = kind
-        if kind[0] == "room":
-            _, room, state = kind
-            return named[self.named_rooms.index(room)] == state
-        return (tracked | untracked) & self.state_bit[kind[1]] != 0
+class _Structure(_Evaluator):
+    """A variant's quotient for the labelling engine, with the room atoms
+    in ``true_rooms`` true at every point and the others at none.  ``[]``
+    classes are single points: agreeing on every room pins a world."""
 
-    # -- successor worlds --
+    def __init__(self, v, true_rooms):
+        self.k, self.state_bit, self.full, exists, self.nbhd, self.attain_pairs = _frame(v)
+        self.atom_mask = dict(exists, **dict.fromkeys(true_rooms, self.full))
+        self.box_classes = tuple(1 << i for i in range(1 << 2 * self.k))
+        self._ext_cache = {}
+        self._attain_cache = {}
 
-    def successors(self, tracked):
-        """Untracked-state sets of the valid worlds agreeing on the tracked
-        rooms: any nonempty set of states.  Validity depends on the tracked
-        part only through its occupied/infested states, so the list is cached
-        on those."""
-        key = tracked & self.clash
-        masks = self._succ_cache.get(key)
-        if masks is None:
-            masks = [m for m in range(1, 1 << len(self.v.states))
-                     if not self.clash or (key | m) & self.clash != self.clash]
-            self._succ_cache[key] = masks
-        return masks
-
-    # -- evaluation --
-
-    def eval(self, f, named, tracked, untracked):
-        key = (f, named, tracked, untracked)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(f, Atom):
-            value = self.atom_true(f.name, named, tracked, untracked)
-        elif isinstance(f, Not):
-            value = not self.eval(f.child, named, tracked, untracked)
-        elif isinstance(f, Implies):
-            value = ((not self.eval(f.left, named, tracked, untracked))
-                     or self.eval(f.right, named, tracked, untracked))
-        elif isinstance(f, Know):
-            # agreement on every room pins the world exactly
-            value = self.eval(f.child, named, tracked, untracked)
-        elif isinstance(f, AttainKnow):
-            value = self.attain(f.child, named, tracked, untracked) is not None
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self.memo[key] = value
-        return value
-
-    def attain(self, child, named, tracked, untracked):
-        """Smallest number of fresh rooms whose states, added to the tracked
-        ones, make the universal check succeed, or None.  A fresh room of a
-        state already tracked changes nothing, so only new states are tried,
-        fewest first."""
-        new = [b for b in self.state_bit.values() if untracked & b and not tracked & b]
+    def fewest_fresh(self, child, t, u):
+        """Fewest fresh rooms whose states, added to the tracked ones, leave
+        only points inside ``child``, or None.  A fresh room of a state
+        already tracked changes nothing, so only new states are tried."""
+        new = [bit for bit in self.state_bit.values() if u & bit and not t & bit]
         for j in range(len(new) + 1):
             for pins in itertools.combinations(new, j):
-                if self.universal(child, named, tracked | sum(pins)):
+                if self.nbhd[t | sum(pins)] & ~child == 0:
                     return j
         return None
 
-    def universal(self, child, named, tracked):
-        return all(self.eval(child, named, tracked, succ)
-                   for succ in self.successors(tracked))
-
 
 class EvalSession:
-    """Pool of evaluators whose memo tables persist across calls.
+    """Structures and room atoms that persist across calls.
 
-    Evaluation is pure, so sharing is only a cache; use one session when
+    Labelling is pure, so sharing is only a cache; use one session when
     checking many formulas against many worlds (the soundness fuzz does).
-    The session also keeps each formula's classified atoms, so a formula
-    checked at many worlds parses its atom names once."""
+    A structure serves every world and formula with its variant and true
+    room atoms, and labels each formula node once."""
 
     def __init__(self):
-        self._pool = {}
-        self._atoms = {}
+        self._structures = {}
+        self._rooms = {}
 
-    def atoms(self, f, v):
-        key = (f, v.name)
-        atoms = self._atoms.get(key)
-        if atoms is None:
-            atoms = self._atoms[key] = _classify_atoms(f, v)
-        return atoms
+    def room_atoms(self, f, v):
+        """f's room atoms as (name, room, state); ValueError if f has an
+        atom that is not a hotel atom of the variant."""
+        rooms = self._rooms.get((f, v.name))
+        if rooms is None:
+            rooms = []
+            for name in atom_names(f):
+                kind = _parse_atom(name, v)
+                if kind is None:
+                    raise ValueError(
+                        f"unknown hotel atom {name!r}; expected exists_<state> or "
+                        f"room_<index>_<state> over variant-{v.name} states {v.states}")
+                if kind[0] == "room":
+                    rooms.append((name,) + kind[1:])
+            rooms = self._rooms[f, v.name] = tuple(rooms)
+        return rooms
 
-    def evaluator(self, v, named_rooms):
-        key = (v.name, named_rooms)
-        ev = self._pool.get(key)
-        if ev is None:
-            ev = _HotelEval(v, named_rooms)
-            self._pool[key] = ev
-        return ev
+    def structure(self, v, true_rooms):
+        key = (v.name, true_rooms)
+        if key not in self._structures:
+            self._structures[key] = _Structure(v, true_rooms)
+        return self._structures[key]
 
 
 def _context(v, w, f, session=None):
+    """f's structure, the named rooms (w's exceptions and f's room atoms)
+    and w's point (t, u): t the named rooms' states, u the default."""
     violation = validate_world(v, w)
     if violation is not None:
         raise ValueError(f"invalid world: {violation}")
-    depth = modal_depth(f)
-    names = atom_names(f)
-    if depth > MODAL_DEPTH_CAP:
-        raise CapacityError(f"modal depth {depth} exceeds the cap of {MODAL_DEPTH_CAP}")
-    if len(names) > ATOM_COUNT_CAP:
-        raise CapacityError(f"{len(names)} atoms exceed the cap of {ATOM_COUNT_CAP}")
     session = session or EvalSession()
-    atoms = session.atoms(f, v)
     named_rooms = set(w.exceptions)
-    for kind in atoms.values():
-        if kind[0] == "room":
-            named_rooms.add(kind[1])
-    named_rooms = tuple(sorted(named_rooms))
-    ev = session.evaluator(v, named_rooms)
-    named = tuple(w.exceptions.get(r, w.default) for r in named_rooms)
-    tracked = 0
-    for s in named:
-        tracked |= ev.state_bit[s]
-    return ev, named, tracked, ev.state_bit[w.default]
+    true_rooms = set()
+    for name, room, state in session.room_atoms(f, v):
+        named_rooms.add(room)
+        if w.exceptions.get(room, w.default) == state:
+            true_rooms.add(name)
+    structure = session.structure(v, frozenset(true_rooms))
+    t = 0
+    for room in named_rooms:
+        t |= structure.state_bit[w.exceptions.get(room, w.default)]
+    return structure, frozenset(named_rooms), t, structure.state_bit[w.default]
 
 
 def hotel_eval(v, w, f, session=None):
@@ -333,13 +274,13 @@ def hotel_eval(v, w, f, session=None):
     a ``[.]`` formula that holds, and then records the normalized evidence
     set: all named tracked rooms plus a minimal count of fresh rooms.
     """
-    ev, named, tracked, untracked = _context(v, w, f, session)
+    structure, rooms, t, u = _context(v, w, f, session)
     if isinstance(f, AttainKnow):
-        j = ev.attain(f.child, named, tracked, untracked)
+        j = structure.fewest_fresh(structure.extension_mask(f.child), t, u)
         if j is None:
             return False, None
-        return True, EvidenceWitness(frozenset(ev.named_rooms), j)
-    return ev.eval(f, named, tracked, untracked), None
+        return True, EvidenceWitness(rooms, j)
+    return bool(structure.extension_mask(f) >> (t << structure.k | u) & 1), None
 
 
 def confirm_witness(v, w, f, witness):
@@ -348,14 +289,14 @@ def confirm_witness(v, w, f, witness):
     room has the default state, so any positive count acts like one."""
     if not isinstance(f, AttainKnow):
         raise ValueError("witnesses only accompany [.] formulas")
-    ev, named, tracked, untracked = _context(v, w, f)
-    if frozenset(ev.named_rooms) != witness.tracked:
+    structure, rooms, t, u = _context(v, w, f)
+    if rooms != witness.tracked:
         raise ValueError("witness tracked set does not match the world/formula")
     if witness.fresh_count < 0:
         return False
     if witness.fresh_count:
-        tracked |= untracked
-    return ev.universal(f.child, named, tracked)
+        t |= u
+    return structure.nbhd[t] & ~structure.extension_mask(f.child) == 0
 
 
 # ---------- the two bundled counterexamples ----------

@@ -1,16 +1,20 @@
-"""Finite Kripke models with evidence, and exact satisfaction checking.
+"""Finite Kripke models with evidence, and the labelling engine.
 
 A model is a finite world set, a finite evidence set where each piece of
 evidence carries a partition of the worlds (its indistinguishability classes),
 and a valuation.  ``[.]f`` holds at w when f holds throughout w's class under
 the common refinement of *some* finite subset of the evidence; ``[]f`` uses
-the full evidence set.  The evaluator computes the refinements of all
-subsets at once, as the closure of the one-block partition under meet with
-each piece of evidence, and keeps the distinct classes that occur in any of
-them.  ``[.]`` maps a child's world mask to the union of those classes that
-lie inside the mask, memoised on the mask; ``[]`` keeps each world whose
-class under the full evidence set lies inside it.  On finite models the two
-operators collapse; evaluating ``[.]`` over every subset's partition instead
+the full evidence set.
+
+``_Evaluator`` labels each formula node once per structure with the mask of
+points where it holds.  ``[]`` keeps each point whose ``[]`` class lies
+inside the child's mask; ``[.]`` is the union of the owners of every
+neighbourhood that lies inside it, memoised on the mask.  For a finite
+model the points are the worlds and each neighbourhood is a class of some
+evidence subset's refinement, owned by its own worlds; the classes are
+found world by world (see ``_subset_classes``).  The Grand Hotel quotient
+of ``boxdot.hotel`` is the other structure.  On finite models the two
+operators collapse; evaluating ``[.]`` over every subset's classes instead
 of the full evidence set is what lets the test suite observe that collapse
 rather than assume it.
 """
@@ -81,7 +85,17 @@ def validate_model(m):
 
 
 class _Evaluator:
-    """Bitmask evaluation over a validated model, memoized per formula."""
+    """Labels each formula node once per structure with the mask of points
+    where it holds, memoised per formula.
+
+    The engine reads four things: ``full`` (every point), ``atom_mask``,
+    ``box_classes`` (per point, the mask of its ``[]`` class) and
+    ``attain_pairs``, (neighbourhood, owners) masks such that ``[.]f``
+    holds at the owners of every neighbourhood inside f's mask.  This
+    constructor builds them from a validated finite model, the pairs at
+    the first ``[.]``; the Grand Hotel quotient (``boxdot.hotel``) is the
+    other structure.
+    """
 
     def __init__(self, m):
         violations = validate_model(m)
@@ -102,7 +116,6 @@ class _Evaluator:
                 for w in blk:
                     per_world[self.index[w]] = mask
             self.block_mask[eid] = per_world
-        self.evidence_ids = tuple(m.evidence)
         self.atom_mask = {}
         for atom, ws in m.valuation.items():
             mask = 0
@@ -111,8 +124,9 @@ class _Evaluator:
             self.atom_mask[atom] = mask
         self._class_cache = {}
         self._ext_cache = {}
-        self._attain_classes = None  # distinct classes of every subset's refinement
-        self._attain_cache = {}       # child mask -> [.] mask
+        self.box_classes = self.class_masks(m.evidence)
+        self.attain_pairs = None  # built at the first [.]
+        self._attain_cache = {}   # child mask -> [.] mask
 
     def class_masks(self, eids):
         """Per-world masks of the common refinement over the given evidence ids."""
@@ -143,21 +157,20 @@ class _Evaluator:
             mask = (self.full & ~self.extension_mask(f.left)) | self.extension_mask(f.right)
         elif isinstance(f, Know):
             child = self.extension_mask(f.child)
-            classes = self.class_masks(self.evidence_ids)
             mask = 0
-            for i, cls in enumerate(classes):
+            for i, cls in enumerate(self.box_classes):
                 if cls & ~child == 0:
                     mask |= 1 << i
         elif isinstance(f, AttainKnow):
             child = self.extension_mask(f.child)
             mask = self._attain_cache.get(child)
             if mask is None:
-                if self._attain_classes is None:
-                    self._attain_classes = self._subset_classes()
+                if self.attain_pairs is None:
+                    self.attain_pairs = tuple((cls, cls) for cls in self._subset_classes())
                 mask = 0
-                for cls in self._attain_classes:
-                    if cls & ~child == 0:
-                        mask |= cls
+                for nbhd, owners in self.attain_pairs:
+                    if nbhd & ~child == 0:
+                        mask |= owners
                 self._attain_cache[child] = mask
         else:
             raise TypeError(f"not a formula: {f!r}")
@@ -167,23 +180,20 @@ class _Evaluator:
     def _subset_classes(self):
         """Distinct classes of the refinements of all evidence subsets.
 
-        Meeting with one more piece of evidence refines the refinement of a
-        subset into that of the subset with it added, so closing the
-        one-block partition under those meets reaches every subset's
-        refinement, each partition (a per-world tuple of class masks) once."""
-        top = (self.full,) * len(self.model.worlds)
-        seen = {top}
-        frontier = [top]
-        while frontier:
-            fresh = []
-            for part in frontier:
-                for per_world in self.block_mask.values():
-                    meet = tuple(a & b for a, b in zip(part, per_world))
-                    if meet not in seen:
-                        seen.add(meet)
-                        fresh.append(meet)
-            frontier = fresh
-        return tuple({cls for part in seen for cls in part})
+        The classes holding world w are the meets of w's blocks over the
+        evidence subsets, so closing {full} under meet with each of w's
+        blocks in turn reaches all of them; the union over the worlds is
+        every class.  The cost is still exponential in the number of worlds
+        (a world can lie in up to 2^(n-1) classes), but not in the amount
+        of evidence."""
+        classes = set()
+        for i in range(len(self.model.worlds)):
+            reach = {self.full}
+            for per_world in self.block_mask.values():
+                block = per_world[i]
+                reach |= {cls & block for cls in reach}
+            classes |= reach
+        return classes
 
 
 def indist(m, evidence_ids):

@@ -13,23 +13,8 @@ take the same arguments and give the same kind of answers as
 
 import itertools
 
-from boxdot.formulas import (
-    Atom,
-    AttainKnow,
-    CapacityError,
-    Implies,
-    Know,
-    Not,
-    atom_names,
-    modal_depth,
-)
-from boxdot.hotel import (
-    ATOM_COUNT_CAP,
-    MODAL_DEPTH_CAP,
-    EvidenceWitness,
-    _parse_atom,
-    validate_world,
-)
+from boxdot.formulas import Atom, AttainKnow, Implies, Know, Not, atom_names, modal_depth
+from boxdot.hotel import EvidenceWitness, _parse_atom, validate_world
 
 OMEGA = -1  # cofinite count marker
 
@@ -177,14 +162,8 @@ def _context(v, w, f, cap):
     violation = validate_world(v, w)
     if violation is not None:
         raise ValueError(f"invalid world: {violation}")
-    depth = modal_depth(f)
-    names = atom_names(f)
-    if depth > MODAL_DEPTH_CAP:
-        raise CapacityError(f"modal depth {depth} exceeds the cap of {MODAL_DEPTH_CAP}")
-    if len(names) > ATOM_COUNT_CAP:
-        raise CapacityError(f"{len(names)} atoms exceed the cap of {ATOM_COUNT_CAP}")
     atoms = {}
-    for name in names:
+    for name in atom_names(f):
         parsed = _parse_atom(name, v)
         if parsed is None:
             raise ValueError(f"unknown hotel atom {name!r}")

@@ -1,12 +1,16 @@
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boxdot
 from boxdot.formulas import (
     Atom,
     AttainKnow,
@@ -204,6 +208,20 @@ class TestQueries:
         for query in (modal_depth, atom_names):
             with pytest.raises(TypeError):
                 query("p")
+
+    def test_pickle_rehashes_under_another_hash_seed(self):
+        # pickled where strings hash one way, loaded where they hash another
+        text = "[.](room_1_vacant -> []exists_vacant) -> !p"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(boxdot.__file__)))
+        dump = ("import pickle, sys; from boxdot.formulas import parse; "
+                f"f = parse({text!r}); hash(f); sys.stdout.buffer.write(pickle.dumps(f))")
+        load = ("import pickle, sys; from boxdot.formulas import parse; "
+                f"g = pickle.loads(sys.stdin.buffer.read()); print({{parse({text!r}): 1}}.get(g))")
+        blob = subprocess.run([sys.executable, "-c", dump], env=dict(env, PYTHONHASHSEED="1"),
+                              capture_output=True, check=True).stdout
+        out = subprocess.run([sys.executable, "-c", load], env=dict(env, PYTHONHASHSEED="2"),
+                             input=blob, capture_output=True, check=True).stdout
+        assert out.decode().strip() == "1"
 
     def test_substitute(self):
         f = parse("[]p -> (q -> p)")

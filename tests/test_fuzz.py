@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from boxdot.formulas import Implies, Know, parse
@@ -108,6 +111,37 @@ class TestCampaign:
         report = run_soundness_fuzz(_cfg(seed=3, num_theorems=120, num_models=15))
         assert report.violations > 0
         assert report.first_violation is not None
+
+    @pytest.mark.parametrize("schema,source", [
+        ("![.]phi -> [.]![.]phi", "hotel-I"),
+        ("[]phi -> [.]phi", "hotel-I"),
+        ("phi -> (![.]phi -> [.]![.]phi)", "hotel-II"),
+        ("phi -> []phi", "model-4"),
+    ])
+    def test_unsound_schema_is_found(self, monkeypatch, schema, source):
+        # each schema is unsound on exactly the half named; the first three
+        # hold on every finite model, so only the hotel panels catch them
+        monkeypatch.setitem(SCHEMAS, "unsound", parse(schema))
+        report = run_soundness_fuzz(_cfg(seed=42, num_theorems=1000, num_models=50))
+        assert report.violations > 0
+        assert report.first_violation[1] == source
+
+    def test_memory_stays_bounded(self):
+        # per-model and per-session tables die with their campaign
+        tracemalloc.start()
+        try:
+            run_soundness_fuzz(_cfg(seed=3, num_theorems=300, num_models=50))
+            peak = tracemalloc.get_traced_memory()[1]
+            gc.collect()
+            first = tracemalloc.get_traced_memory()[0]
+            for seed in (4, 5):
+                run_soundness_fuzz(_cfg(seed=seed, num_theorems=300, num_models=50))
+            gc.collect()
+            last = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+        assert last - first < 4096
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, "x") == derive_seed(1, "x")

@@ -6,10 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxdot.formulas import AttainKnow, CapacityError, Know, modal_depth, parse, substitute
+from boxdot.formulas import (
+    Atom,
+    AttainKnow,
+    Implies,
+    Know,
+    Not,
+    atom_names,
+    modal_depth,
+    parse,
+    subformulas,
+    substitute,
+)
 from boxdot.fuzz import HOTEL_ATOMS, hotel_panel, random_formula
 from boxdot.hotel import (
-    MODAL_DEPTH_CAP,
     VARIANT_I,
     VARIANT_II,
     EvalSession,
@@ -166,16 +176,6 @@ class TestErrors:
         with pytest.raises(ValueError, match="unknown hotel atom"):
             hotel_eval(VARIANT_I, FULL, parse("exists_infested"))
 
-    def test_modal_depth_capacity(self):
-        f = parse("[.][.][.][.][.]exists_vacant")
-        with pytest.raises(CapacityError, match="depth"):
-            hotel_eval(VARIANT_I, FULL, f)
-
-    def test_atom_count_capacity(self):
-        text = " & ".join(f"room_{i}_vacant" for i in range(7))
-        with pytest.raises(CapacityError, match="atoms"):
-            hotel_eval(VARIANT_I, FULL, parse(text))
-
     def test_invalid_world(self):
         with pytest.raises(ValueError, match="invalid world"):
             hotel_eval(VARIANT_II, HotelWorld("occupied", {1: "infested"}),
@@ -240,6 +240,63 @@ def test_cap_stability(seed, variant_name):
     for cap in range(b0, b0 + 4):
         assert oracle_hotel_eval(variant, w, f, cap=cap) == base, (
             str(f), format_world(w), cap)
+
+
+def _deep_hotel_formula(rng, variant, depth):
+    """A formula of modal depth exactly `depth`: modalities, negations and
+    implications with shallow random sides stacked on a shallow formula."""
+    f = _random_hotel_formula(rng, variant, max_depth=1)
+    while modal_depth(f) < depth:
+        side = _random_hotel_formula(rng, variant, max_depth=1)
+        body = rng.choice((f, Not(f), Implies(side, f), Implies(f, side)))
+        f = rng.choice((AttainKnow, Know))(body)
+    return f
+
+
+def _wide_hotel_formula(rng, variant, width):
+    """`width` distinct room atoms and one or two exists atoms, joined
+    pairwise at random by implications under random operators."""
+    rooms = [f"room_{r}_{s}" for r in range(9) for s in variant.states]
+    names = rng.sample(rooms, width) + rng.sample([f"exists_{s}" for s in variant.states],
+                                                  rng.randint(1, 2))
+    parts = [Atom(name) for name in names]
+    while len(parts) > 1:
+        left = parts.pop(rng.randrange(len(parts)))
+        right = parts.pop(rng.randrange(len(parts)))
+        op = rng.choice((AttainKnow, Know, Not, None))
+        g = Implies(left, right)
+        parts.append(g if op is None else op(g))
+    return parts[0]
+
+
+def _agrees_with_oracle(variant, w, f):
+    roots = [f, AttainKnow(f)] + [g for g in subformulas(f) if isinstance(g, AttainKnow)]
+    for g in dict.fromkeys(roots):
+        assert hotel_eval(variant, w, g) == oracle_hotel_eval(variant, w, g), (
+            str(g), format_world(w))
+
+
+class TestPastTheFormerCaps:
+    """Modal depth and atom count are unbounded: formulas past the former
+    caps (depth 4, six atoms) get the oracle's verdicts and witnesses."""
+
+    def test_deep_formulas_agree_with_oracle(self):
+        rng = random.Random(5)
+        for i in range(40):
+            variant = (VARIANT_I, VARIANT_II)[i % 2]
+            depth = 5 + i % 4
+            f = _deep_hotel_formula(rng, variant, depth)
+            assert modal_depth(f) == depth
+            _agrees_with_oracle(variant, _random_world(rng, variant), f)
+
+    def test_wide_formulas_agree_with_oracle(self):
+        rng = random.Random(6)
+        for i in range(40):
+            variant = (VARIANT_I, VARIANT_II)[i % 2]
+            width = 7 + i % 6
+            f = _wide_hotel_formula(rng, variant, width)
+            assert sum(name.startswith("room_") for name in atom_names(f)) == width
+            _agrees_with_oracle(variant, _random_world(rng, variant), f)
 
 
 @settings(max_examples=80, deadline=None)
@@ -358,8 +415,6 @@ def test_kernel_theorems_hold_on_hotel_sample():
         _, conclusion = random_theorem(seed, 6)
         for variant in (VARIANT_I, VARIANT_II):
             f = substitute(conclusion, HOTEL_ATOMS[variant.name])
-            if modal_depth(f) > MODAL_DEPTH_CAP:
-                continue
             for w in hotel_panel(variant.name)[:10]:
                 verdict, _ = hotel_eval(variant, w, f, session=session)
                 assert verdict, (str(conclusion), variant.name, format_world(w))

@@ -10,17 +10,9 @@ import re
 
 import pytest
 
-from boxdot.formulas import (
-    AttainKnow,
-    atom_names,
-    modal_depth,
-    parse,
-    subformulas,
-    substitute,
-)
+from boxdot.formulas import AttainKnow, atom_names, parse, subformulas, substitute
 from boxdot.fuzz import HOTEL_ATOMS, derive_seed, hotel_panel, random_formula
 from boxdot.hotel import (
-    MODAL_DEPTH_CAP,
     VARIANTS,
     EvalSession,
     EvidenceWitness,
@@ -104,8 +96,7 @@ def test_quotient_agrees_with_capped_oracle(generator, variant_name):
         # f, its [.] subformulas as roots of their own, and [.]f, so that
         # every case yields witnesses to check
         formulas = [f] + [g for g in subformulas(f) if isinstance(g, AttainKnow)]
-        if modal_depth(f) < MODAL_DEPTH_CAP:
-            formulas.append(AttainKnow(f))
+        formulas.append(AttainKnow(f))
         for g in dict.fromkeys(formulas):
             b0 = default_cap(g)
             where = (str(g), format_world(w))
