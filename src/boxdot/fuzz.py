@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .formulas import Atom, AttainKnow, Implies, Know, Not, parse, substitute
+from .formulas import parse, substitute
 from .hotel import (
     VARIANT_I,
     VARIANT_II,
@@ -32,7 +32,6 @@ __all__ = [
     "FuzzConfig",
     "FuzzReport",
     "random_model",
-    "random_formula",
     "hotel_panel",
     "run_soundness_fuzz",
     "HOTEL_PANEL_SIZE",
@@ -145,24 +144,6 @@ def random_model(seed, bounds):
     for atom in ATOM_POOL:
         valuation[atom] = [w for w in worlds if rng.random() < 0.5]
     return FiniteEvidenceModel(worlds, evidence, valuation)
-
-
-def random_formula(rng, max_depth):
-    """Random formula over the four-atom pool: 40% implication, 20% negation,
-    20% modality (split between the two), 20% atom; depth-bounded."""
-    if max_depth <= 0:
-        return Atom(rng.choice(ATOM_POOL))
-    r = rng.random()
-    if r < 0.4:
-        return Implies(random_formula(rng, max_depth - 1),
-                       random_formula(rng, max_depth - 1))
-    if r < 0.6:
-        return Not(random_formula(rng, max_depth - 1))
-    if r < 0.7:
-        return AttainKnow(random_formula(rng, max_depth - 1))
-    if r < 0.8:
-        return Know(random_formula(rng, max_depth - 1))
-    return Atom(rng.choice(ATOM_POOL))
 
 
 # ---------- the fixed hotel panel ----------

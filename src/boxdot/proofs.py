@@ -213,29 +213,40 @@ def skeleton_letters(f):
     return letters
 
 
-def eval_skeleton(f, assignment):
-    """Evaluate f's propositional skeleton under a letter->bool assignment."""
-    if isinstance(f, (Atom, AttainKnow, Know)):
-        return assignment[f]
-    if isinstance(f, Not):
-        return not eval_skeleton(f.child, assignment)
-    if isinstance(f, Implies):
-        return (not eval_skeleton(f.left, assignment)) or eval_skeleton(f.right, assignment)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def is_tautology(f):
-    """True iff f is true under every Boolean assignment to its skeleton letters."""
+    """True iff f is true under every Boolean assignment to its skeleton letters.
+
+    Bit-parallel truth table over the n letters: bit i of a column is the
+    value in row i, so one pass over the tree evaluates all 2^n rows, with
+    ``!x`` as ``full ^ x`` and ``a -> b`` as ``(full ^ a) | b``.  A column
+    costs 2^n bits (128 KB at the cap).  Only letter columns are tabled, so
+    at most (letters + tree height) columns are alive at once.
+    """
     letters = skeleton_letters(f)
-    if len(letters) > TAUTOLOGY_LETTER_CAP:
-        raise CapacityError(
-            f"{len(letters)} opaque letters exceeds the cap of {TAUTOLOGY_LETTER_CAP}")
     n = len(letters)
-    for bits in range(1 << n):
-        assignment = {letters[k]: bool(bits >> k & 1) for k in range(n)}
-        if not eval_skeleton(f, assignment):
-            return False
-    return True
+    if n > TAUTOLOGY_LETTER_CAP:
+        raise CapacityError(
+            f"{n} opaque letters exceeds the cap of {TAUTOLOGY_LETTER_CAP}")
+    rows = 1 << n
+    full = (1 << rows) - 1
+    columns = {}
+    for k, letter in enumerate(letters):
+        # bit i is bit k of i: 2^k zeros then 2^k ones, doubled to fill the rows
+        width = 2 << k
+        col = ((1 << (width >> 1)) - 1) << (width >> 1)
+        while width < rows:
+            col |= col << width
+            width <<= 1
+        columns[letter] = col
+
+    def column(g):
+        if isinstance(g, Not):
+            return full ^ column(g.child)
+        if isinstance(g, Implies):
+            return (full ^ column(g.left)) | column(g.right)
+        return columns[g]
+
+    return column(f) == full
 
 
 # ---------- derivation checking ----------

@@ -5,6 +5,7 @@ import itertools
 import random
 
 from boxdot.formulas import Atom, AttainKnow, Formula, Implies, Know, Not
+from boxdot.fuzz import ATOM_POOL
 from boxdot.proofs import Derivation, ProofStep
 
 
@@ -64,6 +65,24 @@ def random_core_formula(rng, depth, atoms=("p", "q", "r", "s")):
     if r < 0.8:
         return AttainKnow(random_core_formula(rng, depth - 1, atoms))
     return Know(random_core_formula(rng, depth - 1, atoms))
+
+
+def random_formula(rng, max_depth):
+    """Random formula over the four-atom pool: 40% implication, 20% negation,
+    20% modality (split between the two), 20% atom; depth-bounded."""
+    if max_depth <= 0:
+        return Atom(rng.choice(ATOM_POOL))
+    r = rng.random()
+    if r < 0.4:
+        return Implies(random_formula(rng, max_depth - 1),
+                       random_formula(rng, max_depth - 1))
+    if r < 0.6:
+        return Not(random_formula(rng, max_depth - 1))
+    if r < 0.7:
+        return AttainKnow(random_formula(rng, max_depth - 1))
+    if r < 0.8:
+        return Know(random_formula(rng, max_depth - 1))
+    return Atom(rng.choice(ATOM_POOL))
 
 
 # ---------- single-node mutation ----------

@@ -15,7 +15,6 @@ from boxdot.fuzz import (
     HOTEL_ATOMS,
     derive_seed,
     hotel_panel,
-    random_formula,
     random_model,
     run_soundness_fuzz,
 )
@@ -31,7 +30,7 @@ from boxdot.models import extension
 from boxdot.proofs import check_derivation, random_theorem
 from boxdot.unravelling import random_universe, universe_report
 
-from helpers import mutate_derivation
+from helpers import mutate_derivation, random_formula
 from hotel_oracle import default_cap, oracle_hotel_eval
 
 

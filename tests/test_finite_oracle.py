@@ -9,10 +9,11 @@ import random
 import pytest
 
 from boxdot.formulas import parse, subformulas
-from boxdot.fuzz import FuzzConfig, derive_seed, random_formula, random_model
+from boxdot.fuzz import FuzzConfig, derive_seed, random_model
 from boxdot.models import FiniteEvidenceModel
 
 from finite_oracle import OracleEvaluator
+from helpers import random_formula
 
 BOUNDS = FuzzConfig(seed=0, num_theorems=0, num_models=0, max_worlds=8, max_evidence=6)
 MODELS = 400

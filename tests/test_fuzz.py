@@ -9,13 +9,14 @@ from boxdot.fuzz import (
     HOTEL_ATOMS,
     derive_seed,
     hotel_panel,
-    random_formula,
     random_model,
     run_soundness_fuzz,
 )
 from boxdot.hotel import VARIANTS, validate_world
 from boxdot.models import satisfies, validate_model
 from boxdot.proofs import SCHEMAS
+
+from helpers import random_formula
 
 
 def _cfg(**kw):

@@ -18,7 +18,7 @@ from boxdot.formulas import (
     subformulas,
     substitute,
 )
-from boxdot.fuzz import HOTEL_ATOMS, hotel_panel, random_formula
+from boxdot.fuzz import HOTEL_ATOMS, hotel_panel
 from boxdot.hotel import (
     VARIANT_I,
     VARIANT_II,
@@ -34,6 +34,7 @@ from boxdot.hotel import (
 )
 from boxdot.proofs import random_theorem
 
+from helpers import random_formula
 from hotel_oracle import default_cap, oracle_hotel_eval
 
 

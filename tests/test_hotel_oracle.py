@@ -11,7 +11,7 @@ import re
 import pytest
 
 from boxdot.formulas import AttainKnow, atom_names, parse, subformulas, substitute
-from boxdot.fuzz import HOTEL_ATOMS, derive_seed, hotel_panel, random_formula
+from boxdot.fuzz import HOTEL_ATOMS, derive_seed, hotel_panel
 from boxdot.hotel import (
     VARIANTS,
     EvalSession,
@@ -23,6 +23,7 @@ from boxdot.hotel import (
 )
 from boxdot.proofs import GenerationError, random_theorem
 
+from helpers import random_formula
 from hotel_oracle import default_cap, oracle_confirm_witness, oracle_hotel_eval
 from test_acceptance import _random_hotel_world
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from boxdot.corpus import corpus
 from boxdot.formulas import AttainKnow, Know, Not, Implies, parse, substitute
-from boxdot.fuzz import FuzzConfig, random_formula, random_model
+from boxdot.fuzz import FuzzConfig, random_model
 from boxdot.models import (
     FiniteEvidenceModel,
     extension,
@@ -18,7 +18,7 @@ from boxdot.models import (
 )
 from boxdot.proofs import SCHEMAS, random_theorem
 
-from helpers import random_core_formula
+from helpers import random_core_formula, random_formula
 
 
 @pytest.fixture

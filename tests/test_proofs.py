@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from boxdot.formulas import (
     Know,
     Not,
     parse,
+    subformulas,
     substitute,
 )
 from boxdot.proofs import (
@@ -89,12 +91,69 @@ class TestIsTautology:
         with pytest.raises(CapacityError):
             is_tautology(parse(big))
 
+    def test_cap_boundary(self):
+        assert is_tautology(_chain(20)) is True
+        assert is_tautology(_chain(20, broken=7)) is False
+        with pytest.raises(CapacityError, match="21 opaque letters exceeds the cap of 20"):
+            is_tautology(_chain(21))
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_chains_agree_with_brute_force(self, n):
+        assert is_tautology(_chain(n)) is brute_force_tautology(_chain(n)) is True
+        for i in range(n - 1):
+            broken = _chain(n, broken=i)
+            assert is_tautology(broken) is brute_force_tautology(broken) is False
+
+    def test_peak_memory_bounded_by_letters_and_height(self):
+        # one 128 KB column per composite node would need far more than 16 MB
+        letters = [Atom(f"x{i}") for i in range(20)]
+        rng = random.Random(3)
+
+        def tree(depth):
+            if depth == 0:
+                return rng.choice(letters)
+            sub = Implies(tree(depth - 1), tree(depth - 1))
+            return Not(sub) if rng.random() < 0.3 else sub
+
+        body = tree(9)
+        for _ in range(80):
+            body = Not(body)
+        f = Implies(body, Implies(letters[0], letters[0]))
+        composite = {g for g in subformulas(f) if not isinstance(g, Atom)}
+        assert len(composite) >= 300 and _height(f) <= 100
+        tracemalloc.start()
+        try:
+            assert is_tautology(f) is True
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     @settings(max_examples=1000, deadline=None)
     @given(st.integers(0, 2**32))
     def test_agrees_with_brute_force(self, seed):
         rng = random.Random(seed)
         f = random_core_formula(rng, 3, atoms=("p", "q"))
         assert is_tautology(f) == brute_force_tautology(f)
+
+
+def _chain(n, broken=None):
+    """(x{n-2} -> x{n-1}) -> ... -> (x0 -> x1) -> (x0 -> x{n-1}), a tautology
+    over n letters; ``broken=i`` makes link i point back to x0, which breaks
+    the chain and leaves a non-tautology."""
+    xs = [Atom(f"x{i}") for i in range(n)]
+    f = Implies(xs[0], xs[-1])
+    for i in range(n - 1):
+        f = Implies(Implies(xs[i], xs[0] if i == broken else xs[i + 1]), f)
+    return f
+
+
+def _height(f):
+    if isinstance(f, Atom):
+        return 0
+    if isinstance(f, Implies):
+        return 1 + max(_height(f.left), _height(f.right))
+    return 1 + _height(f.child)
 
 
 class TestCheckDerivation:
