@@ -23,12 +23,15 @@ Grammar (whitespace-insensitive, ``#`` starts a line comment)::
 Formulas may nest at most MAX_NESTING levels, and the desugared tree of a
 formula may have at most MAX_TREE_SIZE nodes (see there); other input is a
 ParseError.
+
+``parse`` cuts the text into plain string tokens in one regex pass, reports
+an invalid character anywhere before any syntax error, and descends over the
+tokens; a ParseError's line and column are worked out only when it is raised.
 """
 
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from dataclasses import dataclass
 
 __all__ = [
@@ -146,10 +149,12 @@ class Know(Formula):
 
 
 class ParseError(ValueError):
-    """Raised on malformed formula text; carries line and column (1-based)."""
+    """Raised on malformed formula text; carries the message, line and
+    column (1-based)."""
 
     def __init__(self, message, line, column):
         super().__init__(f"{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -160,133 +165,105 @@ class CapacityError(RuntimeError):
 
 # ---------- tokenizer ----------
 
-_Token = namedtuple("_Token", "kind text line column")
+# One findall cuts the text into tokens whose concatenation is the text:
+# identifiers, the nine operators, whitespace runs, comments and any other
+# single character (an invalid one).  Tokens are plain strings with no
+# position; a ParseError's is found by summing token lengths (_position).
+_TOKEN_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*|<->|->|\[\]|\[\.\]|[!&|()]|[ \t\r\n]+|#[^\n]*|.")
+_SKIP = " \t\r\n#"  # first characters of the tokens the parser never sees
+_IDENT_START = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+_OPERATORS = frozenset(("<->", "->", "[]", "[.]", "!", "&", "|", "(", ")"))
 
-_TOKEN_RE = re.compile(r"""
-    (?P<IDENT>[a-zA-Z_][a-zA-Z0-9_]*) | (?P<IFF><->) | (?P<ARROW>->)
-  | (?P<BOX>\[\]) | (?P<BOXDOT>\[\.\]) | (?P<NOT>!) | (?P<AND>&) | (?P<OR>\|)
-  | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<NEWLINE>\n) | (?P<SKIP>[ \t\r]+)
-  | (?P<COMMENT>\#[^\n]*) | (?P<ERROR>.)""", re.VERBOSE)
+
+class _Fail(Exception):
+    """A syntax error at significant token k (args: message, k)."""
 
 
-def _tokenize(text):
-    tokens = []
-    line, line_start, end_col = 1, 0, 1
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        start, end = m.span()
-        col = start - line_start + 1
-        if kind == "NEWLINE":
-            line, line_start = line + 1, end
-        elif kind == "COMMENT":
-            end_col = col  # end of input after a comment sits at the '#'
-            continue
-        elif kind == "ERROR":
-            if m.group() == "[":
-                raise ParseError("unbalanced '[': expected '[]' or '[.]'", line, col)
-            raise ParseError(f"unexpected character {m.group()!r}", line, col)
-        elif kind != "SKIP":
-            tokens.append(_Token(kind, m.group(), line, col))
-        end_col = end - line_start + 1
-    tokens.append(_Token("EOF", "", line, end_col))
-    return tokens
+def _position(text, raw, k):
+    """Line and column of significant token k; past the last one, of the
+    end of input, which sits at the '#' of a trailing comment."""
+    offset = 0
+    for t in raw:
+        if t[0] not in _SKIP:
+            if not k:
+                break
+            k -= 1
+        offset += len(t)
+    else:
+        if raw and raw[-1][0] == "#":
+            offset -= len(raw[-1])
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 # ---------- recursive-descent parser ----------
 
-_UNARY = {"NOT": Not, "BOX": Know, "BOXDOT": AttainKnow}
+# Each function takes the significant tokens (ending in "" for the end of
+# input), the index to read at and the nesting now open (unary operators,
+# parentheses and '->'), and returns the formula read and the next index.
+
+_UNARY = {"!": Not, "[]": Know, "[.]": AttainKnow}
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-        self.nesting = 0  # unary operators, parentheses and '->' now open
+def _found(t):
+    return repr(t) if t else "end of input"
 
-    def enter(self):
-        """Consume the token that opens one more level of nesting."""
-        tok = self.advance()
-        self.nesting += 1
-        if self.nesting > MAX_NESTING:
-            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels",
-                             tok.line, tok.column)
 
-    def peek(self):
-        return self.tokens[self.pos]
+def _too_deep(i):
+    return _Fail(f"formula nests deeper than {MAX_NESTING} levels", i)
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
-    def expect(self, kind, what):
-        tok = self.peek()
-        if tok.kind != kind:
-            found = repr(tok.text) if tok.kind != "EOF" else "end of input"
-            raise ParseError(f"expected {what}, found {found}", tok.line, tok.column)
-        return self.advance()
+def _formula(toks, i, depth):
+    left, i = _impl(toks, i, depth)
+    if toks[i] != "<->":
+        return left, i
+    right, i = _impl(toks, i + 1, depth)
+    # a <-> b  ==  (a -> b) & (b -> a)
+    return _conj(Implies(left, right), Implies(right, left)), i
 
-    def parse_formula(self):
-        left = self.parse_impl()
-        if self.peek().kind == "IFF":
-            self.advance()
-            right = self.parse_impl()
-            # a <-> b  ==  (a -> b) & (b -> a)
-            return _conj(Implies(left, right), Implies(right, left))
-        return left
 
-    def parse_impl(self):
-        left = self.parse_disj()
-        if self.peek().kind == "ARROW":
-            self.enter()
-            right = self.parse_impl()  # right-associative
-            self.nesting -= 1
-            return Implies(left, right)
-        return left
+def _impl(toks, i, depth):
+    left, i = _operand(toks, i, depth)
+    if toks[i] == "&" or toks[i] == "|":
+        left, i = _chain(toks, i, depth, left)
+    if toks[i] != "->":
+        return left, i
+    if depth >= MAX_NESTING:
+        raise _too_deep(i)
+    right, i = _impl(toks, i + 1, depth + 1)  # right-associative
+    return Implies(left, right), i
 
-    def parse_disj(self):
-        parts = [self.parse_conj()]
-        while self.peek().kind == "OR":
-            self.advance()
-            parts.append(self.parse_conj())
-        f = parts[0]
-        for p in parts[1:]:
-            f = Implies(Not(f), p)  # a | b  ==  !a -> b
-        return f
 
-    def parse_conj(self):
-        parts = [self.parse_unary()]
-        while self.peek().kind == "AND":
-            self.advance()
-            parts.append(self.parse_unary())
-        f = parts[0]
-        for p in parts[1:]:
-            f = _conj(f, p)
-        return f
+def _chain(toks, i, depth, f):
+    """The '&' and '|' chain after the operand f, '&' binding tighter."""
+    while toks[i] == "&":
+        g, i = _operand(toks, i + 1, depth)
+        f = _conj(f, g)
+    while toks[i] == "|":
+        g, i = _operand(toks, i + 1, depth)
+        while toks[i] == "&":
+            h, i = _operand(toks, i + 1, depth)
+            g = _conj(g, h)
+        f = Implies(Not(f), g)  # a | b  ==  !a -> b
+    return f, i
 
-    def parse_unary(self):
-        op = _UNARY.get(self.peek().kind)
-        if op is None:
-            return self.parse_atom()
-        self.enter()
-        f = op(self.parse_unary())
-        self.nesting -= 1
-        return f
 
-    def parse_atom(self):
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            self.advance()
-            return Atom(tok.text)
-        if tok.kind == "LPAREN":
-            self.enter()
-            f = self.parse_formula()
-            self.expect("RPAREN", "')'")
-            self.nesting -= 1
-            return f
-        found = repr(tok.text) if tok.kind != "EOF" else "end of input"
-        raise ParseError(f"expected an atom, '(', '!', '[]' or '[.]', found {found}",
-                         tok.line, tok.column)
+def _operand(toks, i, depth):
+    """An atom, a unary operator and its operand, or a formula in parentheses."""
+    t = toks[i]
+    op = _UNARY.get(t)
+    if op is None and t != "(":
+        if not t or t in _OPERATORS:
+            raise _Fail(f"expected an atom, '(', '!', '[]' or '[.]', found {_found(t)}", i)
+        return Atom(t), i + 1
+    if depth >= MAX_NESTING:
+        raise _too_deep(i)
+    if op is not None:
+        f, i = _operand(toks, i + 1, depth + 1)
+        return op(f), i
+    f, i = _formula(toks, i + 1, depth + 1)
+    if toks[i] != ")":
+        raise _Fail(f"expected ')', found {_found(toks[i])}", i)
+    return f, i + 1
 
 
 def _conj(a, b):
@@ -295,18 +272,29 @@ def _conj(a, b):
 
 def parse(text):
     """Parse formula text into the desugared core AST."""
-    tokens = _tokenize(text)
-    if tokens[0].kind == "EOF":
-        raise ParseError("empty input", tokens[0].line, tokens[0].column)
-    p = _Parser(tokens)
-    f = p.parse_formula()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
+    raw = _TOKEN_RE.findall(text)
+    toks = [t for t in raw if t[0] not in _SKIP]
+    kinds = set(toks)
+    try:
+        # the whole text is checked for invalid characters before any syntax
+        bad = {t for t in kinds - _OPERATORS if t[0] not in _IDENT_START}
+        if bad:
+            k = next(k for k, t in enumerate(toks) if t in bad)
+            if toks[k] == "[":
+                raise _Fail("unbalanced '[': expected '[]' or '[.]'", k)
+            raise _Fail(f"unexpected character {toks[k]!r}", k)
+        toks.append("")
+        if not toks[0]:
+            raise _Fail("empty input", 0)
+        f, i = _formula(toks, 0, 0)
+        if toks[i]:
+            raise _Fail(f"unexpected trailing input {toks[i]!r}", i)
+    except _Fail as exc:
+        raise ParseError(exc.args[0], *_position(text, raw, exc.args[1])) from None
     # Without &, | and <-> the tree is at most one level deeper than the
     # nesting the parser counted, and no larger than the text; their chains
     # and desugaring can stack and copy far more, so measure it.
-    if any(t.kind in ("AND", "OR", "IFF") for t in tokens):
+    if not kinds.isdisjoint(("&", "|", "<->")):
         if _height(f) > MAX_NESTING:
             raise ParseError(f"formula nests deeper than {MAX_NESTING} levels once "
                              "&, | and <-> are desugared", 1, 1)

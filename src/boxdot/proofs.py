@@ -32,6 +32,7 @@ from .formulas import (
     Implies,
     Know,
     Not,
+    ParseError,
     parse,
     substitute,
 )
@@ -349,7 +350,7 @@ def parse_proof_script(text):
             k = int(m.group(1))
             if k != len(hypotheses) + 1:
                 raise ProofScriptError(lineno, f"expected hyp {len(hypotheses) + 1}, got hyp {k}")
-            hypotheses.append(parse(m.group(2)))
+            hypotheses.append(_parse_formula(raw, lineno, m))
             continue
         m = _STEP_RE.match(line)
         if m is None:
@@ -357,9 +358,19 @@ def parse_proof_script(text):
         n = int(m.group(1))
         if n != len(steps) + 1:
             raise ProofScriptError(lineno, f"expected step {len(steps) + 1}, got step {n}")
-        formula = parse(m.group(2))
+        formula = _parse_formula(raw, lineno, m)
         steps.append(ProofStep(formula, _parse_justification(m.group(3), lineno)))
     return Derivation(tuple(hypotheses), tuple(steps))
+
+
+def _parse_formula(raw, lineno, m):
+    """Parse the formula m found in raw; a ParseError is placed on the
+    script's line and column, leading whitespace counted."""
+    try:
+        return parse(m.group(2))
+    except ParseError as exc:
+        column = len(raw) - len(raw.lstrip()) + m.start(2) + exc.column
+        raise ParseError(exc.message, lineno, column) from None
 
 
 def _parse_justification(text, lineno):

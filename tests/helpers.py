@@ -1,10 +1,13 @@
 """Shared test utilities: an independent truth-table oracle, random formula
-generation, and single-node formula mutation."""
+generation, single-node formula mutation, and Hypothesis strategies for
+formula text."""
 
 import itertools
 import random
 
-from boxdot.formulas import Atom, AttainKnow, Formula, Implies, Know, Not
+from hypothesis import strategies as st
+
+from boxdot.formulas import MAX_NESTING, Atom, AttainKnow, Formula, Implies, Know, Not
 from boxdot.fuzz import ATOM_POOL
 from boxdot.proofs import Derivation, ProofStep
 
@@ -146,3 +149,39 @@ def mutate_derivation(d, rng):
     mutated = ProofStep(mutate_formula(step.formula, rng), step.justification)
     steps = d.steps[:idx] + (mutated,) + d.steps[idx + 1:]
     return Derivation(d.hypotheses, steps)
+
+
+# Pieces of formula text: every token of the syntax, whitespace, comments,
+# newlines, and characters the syntax rejects, among them the pieces of
+# its operators.
+TEXT_PIECES = ("p", "q", "r", "p1", "_x", "Ab", "!", "[]", "[.]", "->", "<->", "&", "|",
+               "(", ")", " ", "  ", "\n", "\t", "\r", "\f", "[", "]", ".", "-", "<", ">",
+               "1", "$", "\u00e9", "# c", "#", "# x\n")
+# Runs that, repeated about MAX_NESTING times, reach the nesting bound.
+DEEP_RUNS = ("!", "(", "[.]", "[]", "p -> ", "p & ", "p | ", "(p <-> ")
+
+
+@st.composite
+def formula_texts(draw):
+    """Up to 12 pieces of text; half the time one deep run is put among them."""
+    pieces = draw(st.lists(st.sampled_from(TEXT_PIECES), max_size=12))
+    if draw(st.booleans()):
+        run = draw(st.sampled_from(DEEP_RUNS)) * draw(
+            st.integers(MAX_NESTING - 2, MAX_NESTING + 2))
+        pieces.insert(draw(st.integers(0, len(pieces))), run)
+    return "".join(pieces)
+
+
+# Well-bracketed text built from the sugared syntax without parentheses
+# around binary operators, so precedence, associativity and the rejected
+# chained '<->' all show.
+sugared_texts = st.recursive(
+    st.sampled_from(("p", "q", "r1")),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(("!", "[]", "[.]")), kids).map("".join),
+        st.tuples(kids, st.sampled_from((" -> ", " <-> ", " & ", " | ", "&", "->")),
+                  kids).map("".join),
+        kids.map(lambda t: f"({t})"),
+    ),
+    max_leaves=20,
+)

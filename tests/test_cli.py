@@ -1,11 +1,19 @@
+import io
 import json
+import os
 import random
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxdot.cli import cli
 from boxdot.corpus import CORPUS_SCRIPTS
+
+from helpers import formula_texts
 
 
 def run(capsys, *argv):
@@ -68,6 +76,12 @@ class TestCheckProof:
         code, _, err = run(capsys, "check-proof", str(bad))
         assert code == 2
 
+    def test_formula_error_names_its_script_position(self, capsys, tmp_path):
+        bad = tmp_path / "bad.proof"
+        bad.write_text("1: p -> p ; taut\n2: q -> $ ; taut\n")
+        code, out, err = run(capsys, "check-proof", str(bad))
+        assert (code, out, err) == (2, "", "error: 2:9: unexpected character '$'\n")
+
     def test_tautology_past_letter_cap(self, capsys, tmp_path):
         chain = " -> ".join(f"a{i}" for i in range(21))
         big = tmp_path / "big.proof"
@@ -84,6 +98,26 @@ class TestCheckProof:
         assert doc["accepted"] is True
         assert doc["theorem"] is False
         assert doc["conclusion"] == "p"
+
+
+JUSTIFICATIONS = ("taut", "ax truth", "mp 1 2", "anec 1", "hyp 1", "wat")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=formula_texts(), lines=st.lists(
+    st.tuples(st.sampled_from(("hyp 1: ", "1: ", "2: ", " 3:")), formula_texts(),
+              st.sampled_from(JUSTIFICATIONS)), max_size=4))
+def test_formula_text_never_raises_out_of_the_cli(text, lines):
+    # an IndexError on a malformed tail, or any other exception, would
+    # escape cli() as a traceback instead of an exit code
+    script = "".join(f"{head}{formula} ; {just}\n" for head, formula, just in lines)
+    with tempfile.TemporaryDirectory() as tmp, \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        path = os.path.join(tmp, "s.proof")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(script)
+        assert cli(["parse", text]) in (0, 1, 2)
+        assert cli(["check-proof", path]) in (0, 1, 2)
 
 
 class TestModelChecking:

@@ -13,6 +13,7 @@ from boxdot.formulas import (
     Implies,
     Know,
     Not,
+    ParseError,
     parse,
     subformulas,
     substitute,
@@ -314,6 +315,21 @@ class TestScripts:
     def test_comments_and_blank_lines_ignored(self):
         d = parse_proof_script("# header\n\n1: p -> p ; taut  # inline\n")
         assert check_derivation(d).accepted
+
+    @pytest.mark.parametrize("text,line,column,message", [
+        ("1: p -> p ; taut\n2: q -> $ ; taut\n", 2, 9, "unexpected character '$'"),
+        ("hyp 1:  (p ->\n1: p ; hyp 1\n", 1, 14, "expected an atom"),
+        ("  # c\n   1: p -> ; taut # x\n", 2, 11, "found end of input"),
+        ("\t1: [p] ; taut\n", 1, 5, "unbalanced '['"),
+        ("1: p q ; taut\n", 1, 6, "unexpected trailing input 'q'"),
+    ])
+    def test_formula_errors_sit_at_their_script_position(self, text, line, column, message):
+        # line and column of the script line, leading whitespace counted
+        with pytest.raises(ParseError) as info:
+            parse_proof_script(text)
+        assert (info.value.line, info.value.column) == (line, column)
+        assert message in str(info.value)
+        assert str(info.value).startswith(f"{line}:{column}: ")
 
 
 class TestRandomTheorem:
