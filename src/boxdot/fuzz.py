@@ -4,6 +4,10 @@ The campaign generates theorems with the proof kernel and checks that every
 one of them holds at every world of every random finite model and on a fixed
 panel of Grand Hotel worlds in both variants.  Any violation means a bug in
 the kernel or in one of the evaluators; a correct build reports zero.
+
+The distinct theorems are compiled into one formula DAG (and, substituted,
+into one per hotel variant), and each model and each hotel structure the
+panel reaches is labelled once, so a verdict is one bit of a node's mask.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from .hotel import (
     EvalSession,
     HotelWorld,
     format_world,
-    hotel_eval,
 )
-from .models import FiniteEvidenceModel
+from .models import FiniteEvidenceModel, compile_formulas
 from .proofs import GenerationError, random_theorem
 
 __all__ = [
@@ -192,35 +195,55 @@ def run_soundness_fuzz(cfg):
     violations = 0
     first_violation = None
 
-    # distinct conclusions share all evaluation work; counters stay nominal
-    groups = {}
-    for t in theorems:
-        groups[t] = groups.get(t, 0) + 1
+    # distinct conclusions share all evaluation work; counters stay nominal.
+    # Equal conclusions get equal root ids, so a group is one root id.
+    dag = compile_formulas(theorems)
+    groups = {}  # root id -> [multiplicity, conclusion]
+    for t, r in zip(theorems, dag.roots):
+        if r in groups:
+            groups[r][0] += 1
+        else:
+            groups[r] = [1, t]
+    total = len(theorems)
 
     # each model, and its evaluator's memo, lives for one pass of the loop
     for k in range(cfg.num_models):
         m = random_model(derive_seed(cfg.seed, "model", k), cfg)
         ev = m.evaluator()
         nworlds = len(m.worlds)
-        for t, mult in groups.items():
-            mask = ev.extension_mask(t)
-            evaluations += nworlds * mult
-            if mask != ev.full:
-                bad = next(w for i, w in enumerate(m.worlds) if not mask >> i & 1)
-                violations += nworlds * mult - bin(mask).count("1") * mult
-                if first_violation is None:
-                    first_violation = (str(t), f"model-{k}", bad)
+        masks = ev.label(dag)
+        evaluations += nworlds * total
+        for r in [r for r in groups if masks[r] != ev.full]:
+            mult, t = groups[r]
+            mask = masks[r]
+            bad = next(w for i, w in enumerate(m.worlds) if not mask >> i & 1)
+            violations += nworlds * mult - bin(mask).count("1") * mult
+            if first_violation is None:
+                first_violation = (str(t), f"model-{k}", bad)
 
+    # one DAG per variant; one label per hotel structure the panel reaches,
+    # and one structure and point per panel world and set of room atoms
     session = EvalSession()
     for variant in (VARIANT_I, VARIANT_II):
         panel = hotel_panel(variant.name)
         mapping = HOTEL_ATOMS[variant.name]
-        for t, mult in groups.items():
-            ht = substitute(t, mapping)
-            for w in panel:
-                verdict, _ = hotel_eval(variant, w, ht, session=session)
-                evaluations += mult
-                if not verdict:
+        hts = [substitute(t, mapping) for _, t in groups.values()]
+        hdag = compile_formulas(hts)
+        labels = {}  # structure -> its masks
+        places = {}  # room atoms -> per panel world, (masks, point)
+        for (mult, t), ht, hr in zip(groups.values(), hts, hdag.roots):
+            rooms = frozenset(session.room_atoms(ht, variant))
+            place = places.get(rooms)
+            if place is None:
+                place = places[rooms] = []
+                for w in panel:
+                    structure, _, pt, pu = session.locate(variant, w, ht)
+                    if structure not in labels:
+                        labels[structure] = structure.label(hdag)
+                    place.append((labels[structure], structure.point(pt, pu)))
+            evaluations += mult * len(panel)
+            for (hmasks, point), w in zip(place, panel):
+                if not hmasks[hr] >> point & 1:
                     violations += mult
                     if first_violation is None:
                         first_violation = (str(t), f"hotel-{variant.name}", format_world(w))

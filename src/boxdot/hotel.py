@@ -190,7 +190,8 @@ def _frame(v):
 class _Structure(_Evaluator):
     """A variant's quotient for the labelling engine, with the room atoms
     in ``true_rooms`` true at every point and the others at none.  ``[]``
-    classes are single points: agreeing on every room pins a world."""
+    classes are single points: agreeing on every room pins a world.  It
+    inherits both entry points, ``extension_mask`` and ``label``."""
 
     def __init__(self, v, true_rooms):
         self.k, self.state_bit, self.full, exists, self.nbhd, self.attain_pairs = _frame(v)
@@ -198,6 +199,10 @@ class _Structure(_Evaluator):
         self.box_classes = tuple(1 << i for i in range(1 << 2 * self.k))
         self._ext_cache = {}
         self._attain_cache = {}
+
+    def point(self, t, u):
+        """The bit index of the point (t, u) in this structure's masks."""
+        return t << self.k | u
 
     def fewest_fresh(self, child, t, u):
         """Fewest fresh rooms whose states, added to the tracked ones, leave
@@ -217,7 +222,9 @@ class EvalSession:
     Labelling is pure, so sharing is only a cache; use one session when
     checking many formulas against many worlds (the soundness fuzz does).
     A structure serves every world and formula with its variant and true
-    room atoms, and labels each formula node once."""
+    room atoms, and labels each formula node once.  ``locate`` places a
+    world for a formula; ``hotel_eval``, ``confirm_witness`` and the fuzz
+    all find points through it."""
 
     def __init__(self):
         self._structures = {}
@@ -246,25 +253,24 @@ class EvalSession:
             self._structures[key] = _Structure(v, true_rooms)
         return self._structures[key]
 
-
-def _context(v, w, f, session=None):
-    """f's structure, the named rooms (w's exceptions and f's room atoms)
-    and w's point (t, u): t the named rooms' states, u the default."""
-    violation = validate_world(v, w)
-    if violation is not None:
-        raise ValueError(f"invalid world: {violation}")
-    session = session or EvalSession()
-    named_rooms = set(w.exceptions)
-    true_rooms = set()
-    for name, room, state in session.room_atoms(f, v):
-        named_rooms.add(room)
-        if w.exceptions.get(room, w.default) == state:
-            true_rooms.add(name)
-    structure = session.structure(v, frozenset(true_rooms))
-    t = 0
-    for room in named_rooms:
-        t |= structure.state_bit[w.exceptions.get(room, w.default)]
-    return structure, frozenset(named_rooms), t, structure.state_bit[w.default]
+    def locate(self, v, w, f):
+        """f's structure at w, the named rooms (w's exceptions and f's room
+        atoms) and w's point (t, u): t the named rooms' states, u the
+        default.  Formulas with the same room atoms share all four."""
+        violation = validate_world(v, w)
+        if violation is not None:
+            raise ValueError(f"invalid world: {violation}")
+        named_rooms = set(w.exceptions)
+        true_rooms = set()
+        for name, room, state in self.room_atoms(f, v):
+            named_rooms.add(room)
+            if w.exceptions.get(room, w.default) == state:
+                true_rooms.add(name)
+        structure = self.structure(v, frozenset(true_rooms))
+        t = 0
+        for room in named_rooms:
+            t |= structure.state_bit[w.exceptions.get(room, w.default)]
+        return structure, frozenset(named_rooms), t, structure.state_bit[w.default]
 
 
 def hotel_eval(v, w, f, session=None):
@@ -274,13 +280,13 @@ def hotel_eval(v, w, f, session=None):
     a ``[.]`` formula that holds, and then records the normalized evidence
     set: all named tracked rooms plus a minimal count of fresh rooms.
     """
-    structure, rooms, t, u = _context(v, w, f, session)
+    structure, rooms, t, u = (session or EvalSession()).locate(v, w, f)
     if isinstance(f, AttainKnow):
         j = structure.fewest_fresh(structure.extension_mask(f.child), t, u)
         if j is None:
             return False, None
         return True, EvidenceWitness(rooms, j)
-    return bool(structure.extension_mask(f) >> (t << structure.k | u) & 1), None
+    return bool(structure.extension_mask(f) >> structure.point(t, u) & 1), None
 
 
 def confirm_witness(v, w, f, witness):
@@ -289,7 +295,7 @@ def confirm_witness(v, w, f, witness):
     room has the default state, so any positive count acts like one."""
     if not isinstance(f, AttainKnow):
         raise ValueError("witnesses only accompany [.] formulas")
-    structure, rooms, t, u = _context(v, w, f)
+    structure, rooms, t, u = EvalSession().locate(v, w, f)
     if rooms != witness.tracked:
         raise ValueError("witness tracked set does not match the world/formula")
     if witness.fresh_count < 0:

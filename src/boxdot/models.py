@@ -9,7 +9,11 @@ the full evidence set.
 ``_Evaluator`` labels each formula node once per structure with the mask of
 points where it holds.  ``[]`` keeps each point whose ``[]`` class lies
 inside the child's mask; ``[.]`` is the union of the owners of every
-neighbourhood that lies inside it, memoised on the mask.  For a finite
+neighbourhood that lies inside it, memoised on the mask.  It has two entry
+points: ``extension_mask`` labels one formula, recursively, memoised per
+formula; ``label`` labels a batch that ``compile_formulas`` has interned into
+one DAG, in a single loop over its nodes (the soundness fuzz labels each
+model and each hotel structure this way once per campaign).  For a finite
 model the points are the worlds and each neighbourhood is a class of some
 evidence subset's refinement, owned by its own worlds; the classes are
 found world by world (see ``_subset_classes``).  The Grand Hotel quotient
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, NamedTuple, Tuple
 
 from .formulas import Atom, AttainKnow, Implies, Know, Not
 
@@ -33,6 +37,8 @@ __all__ = [
     "indist",
     "satisfies",
     "extension",
+    "FormulaDag",
+    "compile_formulas",
     "model_from_json",
     "model_to_json",
 ]
@@ -86,7 +92,8 @@ def validate_model(m):
 
 class _Evaluator:
     """Labels each formula node once per structure with the mask of points
-    where it holds, memoised per formula.
+    where it holds: ``extension_mask`` one formula, memoised per formula,
+    ``label`` every node of a ``compile_formulas`` DAG in one pass.
 
     The engine reads four things: ``full`` (every point), ``atom_mask``,
     ``box_classes`` (per point, the mask of its ``[]`` class) and
@@ -165,17 +172,56 @@ class _Evaluator:
             child = self.extension_mask(f.child)
             mask = self._attain_cache.get(child)
             if mask is None:
-                if self.attain_pairs is None:
-                    self.attain_pairs = tuple((cls, cls) for cls in self._subset_classes())
-                mask = 0
-                for nbhd, owners in self.attain_pairs:
-                    if nbhd & ~child == 0:
-                        mask |= owners
-                self._attain_cache[child] = mask
+                mask = self._attain(child)
         else:
             raise TypeError(f"not a formula: {f!r}")
         self._ext_cache[f] = mask
         return mask
+
+    def _attain(self, child):
+        """The ``[.]`` mask of a child mask: the owners of every neighbourhood
+        inside it.  Callers look in ``_attain_cache`` first; this fills it."""
+        if self.attain_pairs is None:
+            self.attain_pairs = tuple((cls, cls) for cls in self._subset_classes())
+        mask = 0
+        for nbhd, owners in self.attain_pairs:
+            if nbhd & ~child == 0:
+                mask |= owners
+        self._attain_cache[child] = mask
+        return mask
+
+    def label(self, dag):
+        """One mask per node of ``dag`` (a ``FormulaDag``), in node order.
+
+        Children come before their parents, so one forward loop labels every
+        node; ``[]`` and ``[.]`` are memoised on the child's mask."""
+        full, atom_mask, box_classes = self.full, self.atom_mask, self.box_classes
+        attain_cache, know_cache = self._attain_cache, {}
+        masks = []
+        append = masks.append
+        for op, a, b in dag.nodes:
+            if op is Implies:
+                append((full & ~masks[a]) | masks[b])
+            elif op is Not:
+                append(full & ~masks[a])
+            elif op is Atom:
+                append(atom_mask.get(a, 0))
+            else:
+                child = masks[a]
+                if op is AttainKnow:
+                    mask = attain_cache.get(child)
+                    if mask is None:
+                        mask = self._attain(child)
+                else:
+                    mask = know_cache.get(child)
+                    if mask is None:
+                        mask = 0
+                        for i, cls in enumerate(box_classes):
+                            if not cls & ~child:
+                                mask |= 1 << i
+                        know_cache[child] = mask
+                append(mask)
+        return masks
 
     def _subset_classes(self):
         """Distinct classes of the refinements of all evidence subsets.
@@ -194,6 +240,64 @@ class _Evaluator:
                 reach |= {cls & block for cls in reach}
             classes |= reach
         return classes
+
+
+class FormulaDag(NamedTuple):
+    """Formulas interned into one DAG.  ``nodes`` holds one node per distinct
+    subformula, children first, each as (class, a, b): (Atom, name, None),
+    (Not / Know / AttainKnow, child id, None) or (Implies, left id, right
+    id); ``roots`` holds each root formula's node id, in the order given."""
+
+    nodes: List[Tuple]
+    roots: List[int]
+
+
+def compile_formulas(formulas):
+    """Intern ``formulas`` into one ``FormulaDag``.
+
+    Structurally equal subformulas get one node, so equal roots get equal
+    ids.  The walk keeps its own stack and keys nodes on their children's
+    ids, never hashing a formula, so trees of any depth compile."""
+    formulas = list(formulas)  # keeps every object alive while done holds its id()
+    nodes = []
+    ids = {}   # node -> its id
+    done = {}  # id() of a formula object -> its node id
+    roots = []
+    for root in formulas:
+        stack = [root]
+        while stack:
+            f = stack[-1]
+            if id(f) in done:
+                stack.pop()
+                continue
+            op = type(f)
+            if op is Atom:
+                node = (Atom, f.name, None)
+            elif op is Implies:
+                a, b = done.get(id(f.left)), done.get(id(f.right))
+                if b is None:
+                    stack.append(f.right)
+                if a is None:
+                    stack.append(f.left)
+                if a is None or b is None:
+                    continue
+                node = (Implies, a, b)
+            elif op is Not or op is Know or op is AttainKnow:
+                a = done.get(id(f.child))
+                if a is None:
+                    stack.append(f.child)
+                    continue
+                node = (op, a, None)
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+            stack.pop()
+            i = ids.get(node)
+            if i is None:
+                i = ids[node] = len(nodes)
+                nodes.append(node)
+            done[id(f)] = i
+        roots.append(done[id(root)])
+    return FormulaDag(nodes, roots)
 
 
 def indist(m, evidence_ids):

@@ -270,6 +270,23 @@ class TestFuzz:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("seed, evaluations", [(0, 85800), (1, 81600), (42, 78900)])
+    def test_json_golden(self, capsys, seed, evaluations):
+        # pinned from the campaign that evaluated formula by formula through
+        # extension_mask and hotel_eval; batch labelling must reproduce it
+        code, out, _ = run(capsys, "fuzz", "--json", "--seed", str(seed),
+                           "--theorems", "300", "--models", "50")
+        assert code == 0
+        assert out == (
+            "{\n"
+            f'  "evaluations": {evaluations},\n'
+            '  "first_violation": null,\n'
+            '  "models_checked": 50,\n'
+            '  "skipped": 0,\n'
+            '  "theorems_checked": 300,\n'
+            '  "violations": 0\n'
+            "}\n")
+
     def test_usage_error_on_bad_bounds(self, capsys):
         code, _, err = run(capsys, "fuzz", "--seed", "1", "--max-worlds", "99")
         assert code == 2

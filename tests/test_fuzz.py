@@ -127,6 +127,20 @@ class TestCampaign:
         assert report.violations > 0
         assert report.first_violation[1] == source
 
+    @pytest.mark.parametrize("schema,violations,first", [
+        ("![.]phi -> [.]![.]phi", 59,
+         ("((!([.]([.]p))) -> ([.](!([.]([.]p)))))", "hotel-I", "default=occupied")),
+        ("[]phi -> [.]phi", 34, ("(([](!p)) -> ([.](!p)))", "hotel-I", "default=occupied")),
+        ("phi -> []phi", 52, ("(s -> ([]s))", "model-4", "w1")),
+    ])
+    def test_unsound_schema_report_is_pinned(self, monkeypatch, schema, violations, first):
+        # pinned from the campaign that evaluated formula by formula through
+        # extension_mask and hotel_eval: counts and first violations, both halves
+        monkeypatch.setitem(SCHEMAS, "unsound", parse(schema))
+        report = run_soundness_fuzz(_cfg(seed=42, num_theorems=300, num_models=50))
+        assert (report.evaluations, report.violations) == (78900, violations)
+        assert report.first_violation == first
+
     def test_memory_stays_bounded(self):
         # per-model and per-session tables die with their campaign
         tracemalloc.start()

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from boxdot.corpus import corpus
 from boxdot.formulas import AttainKnow, Know, Not, Implies, parse, substitute
 from boxdot.fuzz import FuzzConfig, random_model
+from boxdot import models
 from boxdot.models import (
     FiniteEvidenceModel,
     extension,
@@ -205,3 +207,17 @@ def test_kernel_theorems_valid_on_random_models(seed):
     _, conclusion = random_theorem(seed, 8)
     m = random_model(seed + 1, _bounds())
     assert extension(m, conclusion) == m.worlds
+
+
+def test_fault_injection_site_is_extension_masks_know_loop():
+    # perfbench/tests/test_perfbench.py::test_injected_wrong_verdict_fails_the_run
+    # rewrites the first occurrence of this text in models.py and needs the
+    # finite workload, which goes through extension_mask, to fail
+    site = "if cls & ~child == 0:\n                    mask |= 1 << i\n        elif"
+    method = inspect.getsource(models._Evaluator.extension_mask)
+    module = inspect.getsource(models)
+    message = ("the benchmark's fault injection rewrites this text of "
+               "_Evaluator.extension_mask's [] loop; change both together "
+               "(ROADMAP item 4, a stable fault-injection seam)")
+    assert site in method, message
+    assert module.find(site) == module.find(method) + method.find(site), message
